@@ -480,22 +480,6 @@ func BenchmarkMLPTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkMLPTrainParallel fans each training step's weight rows out
-// over a pool-fed barrier team — bit-identical to the serial path at
-// every pool size (parity on a 1-vCPU runner, where the team still
-// runs but time-slices one core).
-func BenchmarkMLPTrainParallel(b *testing.B) {
-	scaled := svmBenchExamples(b)
-	scratch := ml.NewMLPScratch()
-	trainer := (&ml.MLPTrainer{}).WithPool(par.NewPool(runtime.NumCPU()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMLPPredict measures one network inference. Must report 0
 // allocs/op: the activation scratch lives on the caller's stack, so
 // the MLP joins kNN under the hot-path guards.

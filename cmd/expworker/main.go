@@ -11,12 +11,10 @@
 // answers the coordinator's HMAC challenge. With -redial the worker
 // outlives the coordinator: its trace store, dataset cache and result
 // cache survive reconnects, so a resumed grid neither re-ships traces
-// nor re-evaluates answered cells. -dist-proto 2 pins the legacy JSON
-// dialect for mixed-fleet rollouts.
+// nor re-evaluates answered cells. The worker speaks fleet protocol v3
+// only, the one dialect the coordinator admits.
 //
-// Flag names follow cmd/experiments' -dist-* vocabulary; the bare
-// spellings this command used before v3 (-tls, -key, -cache, ...)
-// remain as deprecated aliases.
+// Flag names follow cmd/experiments' -dist-* vocabulary.
 //
 // SIGINT/SIGTERM drain gracefully, mirroring reshaped: in-flight
 // cells finish, queued results flush to the coordinator, then the
@@ -25,7 +23,7 @@
 //
 // Usage:
 //
-//	expworker -addr host:port [-workers n] [-slots n] [-dist-proto v]
+//	expworker -addr host:port [-workers n] [-slots n]
 //	          [-dist-tls] [-dist-tls-ca cert.pem] [-dist-tls-insecure]
 //	          [-dist-key k | -dist-key-file f]
 //	          [-dist-cache n] [-redial d]
@@ -56,13 +54,6 @@ func main() {
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
 	ff.RegisterDial(flag.CommandLine)
-	// Pre-v3 spellings, kept for existing run-books.
-	dist.Alias(flag.CommandLine, "dist-key", "key")
-	dist.Alias(flag.CommandLine, "dist-key-file", "key-file")
-	dist.Alias(flag.CommandLine, "dist-tls", "tls")
-	dist.Alias(flag.CommandLine, "dist-tls-ca", "tls-ca")
-	dist.Alias(flag.CommandLine, "dist-tls-insecure", "tls-insecure")
-	dist.Alias(flag.CommandLine, "dist-cache", "cache")
 	flag.Parse()
 
 	if *addr == "" {
@@ -93,7 +84,6 @@ func main() {
 
 	opt := dist.WorkerOptions{
 		Slots:    *slots,
-		Proto:    ff.Proto,
 		State:    dist.NewWorkerStateWith(*workers, caches),
 		Net:      netOpt,
 		MaxCells: *maxCells,

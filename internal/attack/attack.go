@@ -66,19 +66,13 @@ type TrainOptions struct {
 	Pool *par.Pool
 }
 
-// withPool hands opt's pool to trainers that support internal
-// parallelism (the SVM's per-class machines, the MLP's per-neuron row
-// team); others train as-is. Both fan-outs are bit-identical to
-// serial at every pool size, so this only changes wall-clock time.
+// withPool hands opt's pool to the SVM, whose per-class machines
+// train concurrently; other trainers train as-is. The fan-out is
+// bit-identical to serial at every pool size, so this only changes
+// wall-clock time.
 func withPool(t ml.Trainer, pool *par.Pool) ml.Trainer {
-	if pool == nil {
-		return t
-	}
-	switch t := t.(type) {
-	case *ml.SVMTrainer:
-		return t.WithPool(pool)
-	case *ml.MLPTrainer:
-		return t.WithPool(pool)
+	if svm, ok := t.(*ml.SVMTrainer); ok && pool != nil {
+		return svm.WithPool(pool)
 	}
 	return t
 }

@@ -34,7 +34,7 @@ import (
 // for the authenticated/encrypted fleet tests: the worker cannot know
 // the parent's ephemeral self-signed certificate, so it encrypts
 // without server verification and proves itself through the HMAC
-// challenge — the same posture cmd/expworker's -tls-insecure takes.
+// challenge — the same posture as cmd/expworker -dist-tls-insecure.
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("DIST_TEST_WORKER_ADDR"); addr != "" {
 		maxCells, _ := strconv.Atoi(os.Getenv("DIST_TEST_MAX_CELLS"))

@@ -1,11 +1,8 @@
 package dist
 
-// Shared CLI flag registration for fleet binaries. cmd/experiments
-// grew a -dist-* namespace while cmd/expworker used bare spellings
-// (-tls, -key) for the same concepts; every binary now registers the
-// canonical -dist-* names through these helpers and keeps its old
-// spellings as deprecated aliases, so fleet run-books can use one
-// vocabulary on every host.
+// Shared CLI flag registration for fleet binaries: every binary
+// registers the same -dist-* names through these helpers, so fleet
+// run-books use one vocabulary on every host.
 
 import (
 	"flag"
@@ -27,7 +24,6 @@ type FleetFlags struct {
 	TLS         bool   // -dist-tls
 	TLSCA       string // -dist-tls-ca
 	TLSInsecure bool   // -dist-tls-insecure
-	Proto       int    // -dist-proto
 
 	// Serve side (RegisterServe) — binaries that own a fleet.
 	TLSCert     string        // -dist-tls-cert
@@ -46,12 +42,11 @@ func (ff *FleetFlags) RegisterShared(fs *flag.FlagSet) {
 }
 
 // RegisterDial registers the worker-side flags: how to dial and
-// verify the coordinator, and which protocol version to announce.
+// verify the coordinator.
 func (ff *FleetFlags) RegisterDial(fs *flag.FlagSet) {
 	fs.BoolVar(&ff.TLS, "dist-tls", false, "dial over TLS, verifying with the system roots")
 	fs.StringVar(&ff.TLSCA, "dist-tls-ca", "", "dial over TLS, verifying against this PEM certificate")
 	fs.BoolVar(&ff.TLSInsecure, "dist-tls-insecure", false, "dial over TLS without verifying the coordinator certificate (pair with -dist-key so the HMAC challenge authenticates the fleet)")
-	fs.IntVar(&ff.Proto, "dist-proto", 0, "protocol version to announce: 0 = newest (batched binary v3), 2 = legacy per-cell JSON")
 }
 
 // RegisterServe registers the coordinator-side flags: the listener's
@@ -61,21 +56,8 @@ func (ff *FleetFlags) RegisterServe(fs *flag.FlagSet) {
 	fs.StringVar(&ff.TLSKey, "dist-tls-key", "", "PEM key for -dist-tls-cert")
 	fs.BoolVar(&ff.TLSAuto, "dist-tls-auto", false, "serve the coordinator port over TLS with an ephemeral self-signed certificate (spawned local workers skip verification and rely on -dist-key for identity)")
 	fs.DurationVar(&ff.CellTimeout, "dist-cell-timeout", 0, "reclaim a grid cell from a wedged-but-alive worker after this long (0 = only detect TCP death; the deadline doubles per retry)")
-	fs.IntVar(&ff.MaxBatch, "dist-max-batch", 0, "cap the cells packed into one v3 dispatch frame (0 = size batches to each worker's slots; smaller strands fewer cells when a worker dies mid-frame)")
-	fs.DurationVar(&ff.Heartbeat, "dist-heartbeat", 10*time.Second, "ping v3 workers at this interval and reap any silent for three intervals — the half-open/partition detector (0 = disabled)")
-}
-
-// Alias registers old as a deprecated spelling of the
-// already-registered canonical flag: both names set the same value,
-// and the alias's usage text points at the canonical one. Panics if
-// canonical is not registered — an alias without its target is a
-// programming error, not a runtime condition.
-func Alias(fs *flag.FlagSet, canonical, old string) {
-	f := fs.Lookup(canonical)
-	if f == nil {
-		panic("dist: Alias target -" + canonical + " is not registered")
-	}
-	fs.Var(f.Value, old, "deprecated alias of -"+canonical)
+	fs.IntVar(&ff.MaxBatch, "dist-max-batch", 0, "cap the cells packed into one dispatch frame (0 = size batches to each worker's slots; smaller strands fewer cells when a worker dies mid-frame)")
+	fs.DurationVar(&ff.Heartbeat, "dist-heartbeat", 10*time.Second, "ping workers at this interval and reap any silent for three intervals — the half-open/partition detector (0 = disabled)")
 }
 
 // ResolveKey resolves the shared fleet key: the explicit flag wins,

@@ -1,13 +1,14 @@
 package dist_test
 
 // Property coverage for the v3 scheduler: whatever the fleet does —
-// mixed protocol versions, randomized join/leave/wedge schedules —
-// the grid must stay byte-identical to the serial engine, and the
-// placement counters must stay consistent with each other.
+// randomized join/leave/wedge schedules, peers speaking a retired
+// dialect — the grid must stay byte-identical to the serial engine,
+// and the placement counters must stay consistent with each other.
 
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -16,12 +17,12 @@ import (
 	"trafficreshape/internal/trace"
 )
 
-// TestMixedProtocolFleetByteIdentical: a fleet holding both dialects
-// at once — one worker pinned to the legacy v2 JSON protocol, one on
-// the v3 batched binary protocol — reproduces the serial grid exactly.
-// This is the mixed-fleet rollout scenario: upgrade the coordinator
-// first, then workers one at a time.
-func TestMixedProtocolFleetByteIdentical(t *testing.T) {
+// TestV2HelloRejected: the coordinator speaks protocol v3 only. A peer
+// announcing the retired v2 dialect is turned away at the handshake
+// and counted under HandshakesRejected, and no cell ever reaches it:
+// the grid runs on the v3 worker, byte-identical to serial, and every
+// admitted session reports v3.
+func TestV2HelloRejected(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
@@ -30,33 +31,58 @@ func TestMixedProtocolFleetByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, Proto: 2})
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
-	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
+
+	// A v2 peer, spoken by hand: challenge in, v2 hello and trace-have
+	// out ("TRDW" is the hello magic).
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	if _, err := dist.ReadChallenge(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := dist.EncodeHello(conn, dist.Hello{Magic: "TRDW", Version: 2, Slots: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator may already have hung up; the rejection below is
+	// what this test pins, not this write.
+	_ = dist.EncodeTraceHave(conn, dist.TraceHave{})
+	deadline := time.Now().Add(30 * time.Second)
+	for coord.Stats().HandshakesRejected == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("v2 hello was never rejected")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
-	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
-	sameConfusions(t, "mixed v2/v3 fleet", want, got)
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := experiments.NewEngine(4).WithBackend(coord).EvalSchemes(ds, experiments.StandardSchemes())
+	sameConfusions(t, "fleet with a rejected v2 peer", want, got)
 
 	st := coord.Stats()
+	if st.HandshakesRejected != 1 {
+		t.Errorf("HandshakesRejected = %d, want 1", st.HandshakesRejected)
+	}
+	if st.WorkersJoined != 1 {
+		t.Errorf("WorkersJoined = %d, want only the v3 worker", st.WorkersJoined)
+	}
 	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
 	if st.RemoteCells != wantCells {
-		t.Errorf("fleet evaluated %d cells, want all %d", st.RemoteCells, wantCells)
+		t.Errorf("v3 worker evaluated %d cells, want all %d", st.RemoteCells, wantCells)
 	}
-	protos := make(map[int]int)
 	for _, w := range st.Workers {
-		protos[w.Proto]++
+		if w.Proto != dist.ProtoVersion {
+			t.Errorf("worker %s reports protocol %d, want %d", w.Name, w.Proto, dist.ProtoVersion)
+		}
 	}
-	if protos[2] != 1 || protos[3] != 1 {
-		t.Errorf("worker protocols = %v, want one v2 and one v3", protos)
-	}
-	if st.BatchesSent == 0 || st.BatchedCells == 0 {
-		t.Errorf("v3 worker moved no batches (sent %d, cells %d)", st.BatchesSent, st.BatchedCells)
-	}
-	if st.BatchedCells > wantCells {
-		t.Errorf("BatchedCells = %d exceeds the grid's %d cells", st.BatchedCells, wantCells)
+	// The rejected connection is closed without a single frame.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if msg, err := dist.ReadMessage(conn); err == nil {
+		t.Errorf("rejected v2 peer received a frame: %+v", msg)
 	}
 }
 
@@ -98,9 +124,6 @@ func TestFleetChurnPropertyByteIdentical(t *testing.T) {
 				case 2: // wedges then recovers
 					opt.WedgeCells = 1 + rng.Intn(3)
 					opt.WedgeFor = 1 + rng.Intn(2)
-				}
-				if rng.Intn(2) == 0 {
-					opt.Proto = 2 // chaos in both dialects
 				}
 				startWorker(t, coord.Addr(), opt)
 			}

@@ -65,27 +65,21 @@ func TestLateDuplicateAnswerDeduplicated(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// The peer announced v3 with one slot, so dispatch arrives
-			// as batch frames of exactly one cell.
-			var req *CellRequest
-			switch {
-			case msg.Request != nil:
-				req = msg.Request
-			case len(msg.Batch) == 1:
-				req = &msg.Batch[0]
-			default:
+			// The peer announced one slot, so dispatch arrives as batch
+			// frames of exactly one cell.
+			if len(msg.Batch) != 1 {
 				continue
 			}
-			id := req.ID
+			id := msg.Batch[0].ID
 			if first {
 				first = false
 				for coord.Stats().TimedOut == 0 {
 					time.Sleep(20 * time.Millisecond)
 				}
-				_ = EncodeCellResult(conn, CellResult{ID: id, Err: "answered after reclaim"})
+				_ = EncodeResultBatch(conn, []CellResult{{ID: id, Err: "answered after reclaim"}})
 				continue
 			}
-			_ = EncodeCellResult(conn, CellResult{ID: id, Err: "scripted worker cannot evaluate"})
+			_ = EncodeResultBatch(conn, []CellResult{{ID: id, Err: "scripted worker cannot evaluate"}})
 		}
 	}()
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {

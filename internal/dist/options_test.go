@@ -1,36 +1,9 @@
 package dist
 
-// Back-compat pins for the grouped options surface: the deprecated
-// flat fields (CoordinatorOptions.TLS/AuthKey/HandshakeTimeout,
-// WorkerOptions' spellings plus ResultCacheSize) must keep working —
-// folded into the sub-structs with the grouped field winning when
-// both are set — until they are removed. These tests live in the
-// package because using a deprecated field anywhere else is itself a
-// lint error.
-
 import (
-	"crypto/tls"
 	"testing"
 	"time"
 )
-
-func TestMergeNetPrecedence(t *testing.T) {
-	grouped := &tls.Config{ServerName: "grouped"}
-	flat := &tls.Config{ServerName: "flat"}
-
-	// Flat fields fill empty grouped ones.
-	got := mergeNet(NetOptions{}, flat, "flat-key", time.Second)
-	if got.TLS != flat || got.AuthKey != "flat-key" || got.HandshakeTimeout != time.Second {
-		t.Errorf("flat fields not folded in: %+v", got)
-	}
-
-	// Grouped fields win when both are set.
-	got = mergeNet(NetOptions{TLS: grouped, AuthKey: "grouped-key", HandshakeTimeout: 2 * time.Second},
-		flat, "flat-key", time.Second)
-	if got.TLS != grouped || got.AuthKey != "grouped-key" || got.HandshakeTimeout != 2*time.Second {
-		t.Errorf("grouped fields did not win over flat ones: %+v", got)
-	}
-}
 
 func TestNetOptionsHandshakeTimeoutDefault(t *testing.T) {
 	if d := (NetOptions{}).handshakeTimeout(); d != 30*time.Second {
@@ -38,41 +11,5 @@ func TestNetOptionsHandshakeTimeoutDefault(t *testing.T) {
 	}
 	if d := (NetOptions{HandshakeTimeout: time.Second}).handshakeTimeout(); d != time.Second {
 		t.Errorf("explicit handshake timeout = %v, want 1s", d)
-	}
-}
-
-// TestDeprecatedFlatFieldsStillAuthenticate: a coordinator and worker
-// configured entirely through the pre-v3 flat spellings still
-// complete the keyed handshake — the promise that pre-v3 callers
-// compile AND behave unchanged.
-func TestDeprecatedFlatFieldsStillAuthenticate(t *testing.T) {
-	coord, err := NewCoordinator("", CoordinatorOptions{
-		LocalWorkers:     1,
-		AuthKey:          "legacy-key",
-		HandshakeTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(coord.Addr(), WorkerOptions{
-			EngineWorkers:    1,
-			AuthKey:          "legacy-key",
-			HandshakeTimeout: 5 * time.Second,
-			ResultCacheSize:  8,
-		})
-	}()
-	if err := coord.WaitWorkers(1, 30*time.Second); err != nil {
-		t.Fatalf("flat-field worker not admitted: %v", err)
-	}
-	if rej := coord.Stats().HandshakesRejected; rej != 0 {
-		t.Errorf("%d handshakes rejected in a correctly keyed legacy pair", rej)
-	}
-	coord.Close()
-	if err := <-done; err != nil {
-		t.Errorf("legacy worker exited with %v", err)
 	}
 }

@@ -42,35 +42,25 @@ import (
 //
 //	kind(u8) | length(u32) | payload(length bytes)
 //
-// Control frames (hello, cell request/result, trace-have) carry JSON
-// payloads — cheap at these sizes and debuggable on the wire. Trace
-// frames carry the binary trace codec prefixed by the application
-// byte: the preload path ships captured (non-regenerable) traces to
-// workers through them, content-addressed by digest. The challenge
-// frame's payload is the raw nonce.
+// The handshake frames (hello, trace-have) carry JSON payloads — cheap
+// at these sizes and debuggable on the wire. Cell dispatch travels as
+// binary cell-batch and result-batch frames, and captured traces as
+// flate-compressed trace-z frames (protocol3.go has the layouts). The
+// challenge frame's payload is the raw nonce.
 //
-// Handshake (protocol v2): the coordinator speaks first with a
-// challenge frame carrying a random nonce; the worker answers with a
-// hello whose Auth field is HMAC-SHA256(key, nonce) — so a shared-key
-// coordinator admits only workers holding the key, and a captured
-// nonce is useless for replay — followed immediately by a trace-have
-// frame listing the digests its store already holds, which is what
-// makes the captured-trace preload resumable across reconnects.
+// Handshake: the coordinator speaks first with a challenge frame
+// carrying a random nonce; the worker answers with a hello whose Auth
+// field is HMAC-SHA256(key, nonce) — so a shared-key coordinator
+// admits only workers holding the key, and a captured nonce is useless
+// for replay — followed immediately by a trace-have frame listing the
+// digests its store already holds, which is what makes the
+// captured-trace preload resumable across reconnects.
 
 const (
-	// ProtoVersion is the newest protocol this build speaks. Version 2
-	// added the challenge/auth handshake and the trace-have frame;
-	// version 3 added batched binary cell dispatch (cell-batch /
-	// result-batch frames) and compressed trace preloads. The version
-	// is negotiated per worker: the worker announces what it speaks in
-	// its hello and the coordinator answers in that dialect, so a
-	// mixed v2/v3 fleet evaluates one grid together during a rollout.
+	// ProtoVersion is the only protocol this build speaks. Every
+	// worker is built from the same tree as its coordinator, so a hello
+	// announcing any other version is rejected at the door.
 	ProtoVersion = 3
-	// MinProtoVersion is the oldest hello the coordinator still
-	// admits. Anything older (or newer than ProtoVersion) is rejected
-	// at the door, so version skew degrades to fewer workers instead
-	// of corrupting results.
-	MinProtoVersion = 2
 	// protoMagic opens every Hello, guarding against strays dialing
 	// the coordinator port.
 	protoMagic = "TRDW"
@@ -78,23 +68,22 @@ const (
 	nonceLen = 32
 )
 
-// Frame kinds.
+// Frame kinds. The numbering is part of the wire format: kinds 2–4
+// belonged to the retired v2 per-cell JSON dialect and stay reserved,
+// so every v3 kind keeps its byte and ReadMessage rejects the old
+// ones as bad frames.
 const (
-	kindHello byte = iota + 1
-	kindCellRequest
-	kindCellResult
-	kindTrace
+	kindHello       byte = iota + 1
+	kindCellRequest      // reserved: v2 JSON cell request
+	kindCellResult       // reserved: v2 JSON cell result
+	kindTrace            // reserved: v2 uncompressed trace preload
 	kindShutdown
 	kindChallenge
 	kindTraceHave
-	// Protocol v3 frames: binary batched dispatch and compressed
-	// preloads. A v2 session never sees them.
 	kindCellBatch
 	kindResultBatch
 	kindTraceZ
-	// Heartbeat liveness frames (v3 extension; v2 peers are exempt —
-	// the coordinator never pings a v2 session, whose decoder would
-	// reject the unknown kind). The coordinator pings on its liveness
+	// Heartbeat liveness frames. The coordinator pings on its liveness
 	// interval; a worker answers each ping with a pong immediately
 	// from its read loop, so silence in either direction means the
 	// peer (or the path to it) is gone — not merely busy, because
@@ -155,20 +144,20 @@ type CellRequest struct {
 	// is built from. The coordinator guarantees every named digest was
 	// pushed to the worker (earlier on this connection or a previous
 	// one) before the request is sent.
-	Traces *experiments.TraceSetRef `json:",omitempty"`
+	Traces *experiments.TraceSetRef
 }
 
 // CellResult carries one evaluated cell back.
 type CellResult struct {
 	ID  uint64
-	Err string `json:",omitempty"`
+	Err string
 	// Families holds one confusion matrix per classifier family, in
 	// the dataset's classifier order.
-	Families []ml.Confusion `json:",omitempty"`
+	Families []ml.Confusion
 	// Cached marks an answer served from the worker's result cache
 	// rather than a fresh evaluation (results are pure, so the bytes
 	// are identical either way — the flag only feeds placement stats).
-	Cached bool `json:",omitempty"`
+	Cached bool
 }
 
 // AuthTag computes the hello's Auth field: hex HMAC-SHA256 of the
@@ -231,16 +220,6 @@ func writeJSONFrame(w io.Writer, kind byte, v any) error {
 	return writeFrame(w, kind, payload)
 }
 
-// EncodeCellRequest frames one cell request.
-func EncodeCellRequest(w io.Writer, req CellRequest) error {
-	return writeJSONFrame(w, kindCellRequest, req)
-}
-
-// EncodeCellResult frames one cell result.
-func EncodeCellResult(w io.Writer, res CellResult) error {
-	return writeJSONFrame(w, kindCellResult, res)
-}
-
 // EncodeHello frames the worker handshake.
 func EncodeHello(w io.Writer, h Hello) error {
 	return writeJSONFrame(w, kindHello, h)
@@ -293,40 +272,14 @@ func ReadChallenge(r io.Reader) ([]byte, error) {
 	return nonce, nil
 }
 
-// EncodeTrace frames a trace payload: the application byte followed
-// by the binary trace codec.
-func EncodeTrace(w io.Writer, p TracePayload) error {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(p.App))
-	if err := trace.WriteBinary(&buf, p.Trace); err != nil {
-		return err
-	}
-	return writeFrame(w, kindTrace, buf.Bytes())
-}
-
-// decodeTrace parses a kindTrace payload.
-func decodeTrace(payload []byte) (TracePayload, error) {
-	if len(payload) < 1 {
-		return TracePayload{}, fmt.Errorf("%w: empty trace payload", ErrBadFrame)
-	}
-	tr, err := trace.ReadBinary(bytes.NewReader(payload[1:]))
-	if err != nil {
-		return TracePayload{}, err
-	}
-	return TracePayload{App: trace.App(payload[0]), Trace: tr}, nil
-}
-
 // Message is one decoded frame.
 type Message struct {
 	Hello     *Hello
-	Request   *CellRequest
-	Result    *CellResult
-	Trace     *TracePayload
 	Have      *TraceHave
 	Challenge []byte
 	Shutdown  bool
-	// Batch and Results carry the v3 binary batched dispatch frames;
-	// TraceZ carries a v3 compressed preload (already decompressed).
+	// Batch and Results carry the binary batched dispatch frames;
+	// TraceZ carries a compressed preload (already decompressed).
 	Batch   []CellRequest
 	Results []CellResult
 	TraceZ  *TracePayload
@@ -350,24 +303,8 @@ func ReadMessage(r io.Reader) (Message, error) {
 			return Message{}, fmt.Errorf("%w: hello: %v", ErrBadFrame, err)
 		}
 		return Message{Hello: &h}, nil
-	case kindCellRequest:
-		var req CellRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return Message{}, fmt.Errorf("%w: cell request: %v", ErrBadFrame, err)
-		}
-		return Message{Request: &req}, nil
-	case kindCellResult:
-		var res CellResult
-		if err := json.Unmarshal(payload, &res); err != nil {
-			return Message{}, fmt.Errorf("%w: cell result: %v", ErrBadFrame, err)
-		}
-		return Message{Result: &res}, nil
-	case kindTrace:
-		p, err := decodeTrace(payload)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Trace: &p}, nil
+	case kindCellRequest, kindCellResult, kindTrace:
+		return Message{}, fmt.Errorf("%w: retired v2 frame kind %d", ErrBadFrame, kind)
 	case kindTraceHave:
 		var h TraceHave
 		if err := json.Unmarshal(payload, &h); err != nil {

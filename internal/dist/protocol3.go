@@ -2,13 +2,13 @@ package dist
 
 // Protocol v3 payload codec: batched binary cell dispatch in the
 // style of the trace codec — little-endian, versioned, every length
-// bounds-checked before it allocates. The v2 protocol frames one JSON
-// cell per request/result; at fleet scale the coordinator spends more
-// time framing and syscalling than scheduling, so v3 packs many cells
-// into one cell-batch frame (sized to the receiving worker's slots)
-// and many answers into one result-batch frame, and ships captured
-// trace preloads flate-compressed. Frame kinds and the outer
-// kind|length framing are shared with v2; only the payloads differ.
+// bounds-checked before it allocates. Framing one cell per frame
+// leaves a fleet coordinator spending more time framing and
+// syscalling than scheduling, so v3 packs many cells into one
+// cell-batch frame (sized to the receiving worker's slots) and many
+// answers into one result-batch frame, and ships captured trace
+// preloads flate-compressed. The outer kind|length framing is the one
+// protocol.go describes.
 //
 // Payload layouts (all little-endian):
 //
@@ -25,8 +25,8 @@ package dist
 //	trace-z:      app(u8) | flate(binary trace codec)
 //
 // Digests travel as raw SHA-256 bytes (half the hex wire size); the
-// decoder re-hexes them, so any accepted ref round-trips to canonical
-// lowercase form. Confusion cells use zigzag varints — the matrices
+// decoder re-hexes them in lowercase, and the encoder accepts only
+// that canonical form, so every accepted ref round-trips exactly. Confusion cells use zigzag varints — the matrices
 // are mostly near-zero counts, so a 7×7 matrix typically encodes in
 // ~60 bytes instead of 392.
 
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"trafficreshape/internal/experiments"
@@ -162,9 +163,11 @@ func appendRefSlots(buf []byte, slots []string) ([]byte, error) {
 			buf = append(buf, 0)
 			continue
 		}
+		// Uppercase hex would decode as its lowercase form, so only the
+		// canonical lowercase spelling round-trips exactly.
 		raw, err := hex.DecodeString(d)
-		if err != nil || len(raw) != digestRawLen {
-			return nil, fmt.Errorf("%w: ref digest %q is not a hex SHA-256", ErrBadFrame, d)
+		if err != nil || len(raw) != digestRawLen || d != strings.ToLower(d) {
+			return nil, fmt.Errorf("%w: ref digest %q is not a lowercase hex SHA-256", ErrBadFrame, d)
 		}
 		buf = append(buf, 1)
 		buf = append(buf, raw...)

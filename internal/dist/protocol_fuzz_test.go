@@ -19,8 +19,8 @@ import (
 	"trafficreshape/internal/trace"
 )
 
-// fuzzSeedFrames encodes one specimen of every frame kind — the seed
-// corpus mirrors the round-trip unit tests.
+// fuzzSeedFrames encodes one specimen of every frame kind the protocol
+// speaks — the seed corpus mirrors the round-trip unit tests.
 func fuzzSeedFrames(f *testing.F) [][]byte {
 	f.Helper()
 	var frames [][]byte
@@ -34,35 +34,13 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 	add(func(b *bytes.Buffer) error {
 		return EncodeHello(b, Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 4, Auth: AuthTag("k", []byte{1, 2})})
 	})
-	add(func(b *bytes.Buffer) error {
-		ref := experiments.TraceSetRef{Test: make([]string, trace.NumApps)}
-		ref.Test[0] = "00ff"
-		return EncodeCellRequest(b, CellRequest{
-			ID:     7,
-			Cfg:    experiments.Config{Seed: 42, TrainDuration: time.Minute, TestDuration: time.Second, W: 5 * time.Second},
-			Scheme: "OR modulo i=size%3",
-			App:    trace.Video,
-			Traces: &ref,
-		})
-	})
-	add(func(b *bytes.Buffer) error {
-		var conf ml.Confusion
-		conf[0][1] = 3
-		return EncodeCellResult(b, CellResult{ID: 9, Families: []ml.Confusion{conf}, Cached: true})
-	})
-	add(func(b *bytes.Buffer) error { return EncodeCellResult(b, CellResult{ID: 1, Err: "boom"}) })
-	add(func(b *bytes.Buffer) error {
-		tr := trace.New(1)
-		tr.Append(trace.Packet{Time: time.Second, Size: 100, Dir: trace.Uplink, App: trace.Gaming})
-		return EncodeTrace(b, TracePayload{App: trace.Gaming, Trace: tr})
-	})
 	add(func(b *bytes.Buffer) error { return EncodeTraceHave(b, TraceHave{Digests: []string{"aa", "bb"}}) })
 	add(func(b *bytes.Buffer) error {
 		_, err := EncodeChallenge(b, []byte{0xde, 0xad, 0xbe, 0xef})
 		return err
 	})
 	add(func(b *bytes.Buffer) error { return EncodeShutdown(b) })
-	// v3 binary frames.
+	// Binary dispatch and preload frames.
 	add(func(b *bytes.Buffer) error {
 		ref := experiments.TraceSetRef{
 			Train: []string{digest64("aa"), ""},
@@ -87,6 +65,8 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 		tr.Append(trace.Packet{Time: time.Second, Size: 100, Dir: trace.Uplink, App: trace.Gaming})
 		return EncodeTraceCompressed(b, TracePayload{App: trace.Gaming, Trace: tr})
 	})
+	add(func(b *bytes.Buffer) error { return EncodePing(b, 10*time.Second) })
+	add(func(b *bytes.Buffer) error { return EncodePong(b) })
 	return frames
 }
 
@@ -106,12 +86,6 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 	switch {
 	case msg.Hello != nil:
 		return true, EncodeHello(b, *msg.Hello)
-	case msg.Request != nil:
-		return true, EncodeCellRequest(b, *msg.Request)
-	case msg.Result != nil:
-		return true, EncodeCellResult(b, *msg.Result)
-	case msg.Trace != nil:
-		return true, EncodeTrace(b, *msg.Trace)
 	case msg.Have != nil:
 		return true, EncodeTraceHave(b, *msg.Have)
 	case msg.Challenge != nil:
@@ -125,6 +99,10 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 		return true, EncodeResultBatch(b, msg.Results)
 	case msg.TraceZ != nil:
 		return true, EncodeTraceCompressed(b, *msg.TraceZ)
+	case msg.Ping != nil:
+		return true, EncodePing(b, *msg.Ping)
+	case msg.Pong:
+		return true, EncodePong(b)
 	}
 	return false, nil
 }
@@ -132,15 +110,11 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 // sameMessage compares the payload-bearing fields of two messages.
 func sameMessage(a, b Message) bool {
 	switch {
-	case a.Trace != nil:
+	case a.TraceZ != nil:
 		// Traces round-trip by content digest (byte-level and NaN-safe
 		// — a hostile peer can craft NaN RSSI bits, which DeepEqual
 		// would wrongly call unequal); the *Trace pointers and slice
 		// capacities differ structurally.
-		return b.Trace != nil && a.Trace.App == b.Trace.App &&
-			trace.Digest(a.Trace.Trace) == trace.Digest(b.Trace.Trace)
-	case a.TraceZ != nil:
-		// Same digest rule as the plain preload frame.
 		return b.TraceZ != nil && a.TraceZ.App == b.TraceZ.App &&
 			trace.Digest(a.TraceZ.Trace) == trace.Digest(b.TraceZ.Trace)
 	default:
@@ -150,14 +124,24 @@ func sameMessage(a, b Message) bool {
 
 // FuzzReadMessage hardens the steady-state decoder: garbage must
 // error (never panic or hang), and accepted frames must survive
-// decode → encode → decode unchanged.
+// decode → encode → decode unchanged. The retired v2 kinds seed the
+// rejection side with well-formed payloads.
 func FuzzReadMessage(f *testing.F) {
 	for _, frame := range fuzzSeedFrames(f) {
 		f.Add(frame)
 	}
-	f.Add([]byte{0xEE, 0, 0, 0, 0})                        // unknown kind
-	f.Add([]byte{kindCellRequest, 0xff, 0xff, 0xff, 0xff}) // absurd length
-	f.Add([]byte{kindCellRequest, 10, 0, 0, 0, 'x'})       // truncated payload
+	retired := retiredFramePayloads(f)
+	for _, kind := range []byte{kindCellRequest, kindCellResult, kindTrace} {
+		var b bytes.Buffer
+		if err := writeFrame(&b, kind, retired[kind]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte{0xEE, 0, 0, 0, 0})                      // unknown kind
+	f.Add([]byte{kindCellBatch, 0xff, 0xff, 0xff, 0xff}) // absurd length
+	f.Add([]byte{kindCellBatch, 10, 0, 0, 0, 'x'})       // truncated payload
+	f.Add(append([]byte{kindTraceHave, 8, 0, 0, 0}, []byte("not json")...))
 	f.Add(append([]byte{kindCellResult, 8, 0, 0, 0}, []byte("not json")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,8 +8,12 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,15 +41,17 @@ func roundTrip(t *testing.T, enc func(b *bytes.Buffer) error) Message {
 }
 
 // TestCellRequestRoundTripProperty drives randomized requests —
-// including extreme windows and durations — through the frame codec.
-// Exactness matters most for Config: a worker rebuilds the whole
-// dataset from it, so every bit of every field must arrive.
+// including extreme windows and durations — through the cell-batch
+// codec, one per frame and then all in one frame. Exactness matters
+// most for Config: a worker rebuilds the whole dataset from it, so
+// every bit of every field must arrive.
 func TestCellRequestRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(0xd15f)
 	extremes := []time.Duration{
 		0, 1, -1, time.Nanosecond, 5 * time.Second,
 		math.MaxInt64, math.MinInt64, // max-size windows and beyond
 	}
+	var all []CellRequest
 	for i := 0; i < 200; i++ {
 		req := CellRequest{
 			ID: rng.Uint64(),
@@ -62,13 +68,18 @@ func TestCellRequestRoundTripProperty(t *testing.T) {
 			req.Cfg.W = extremes[i]
 			req.Cfg.TrainDuration = extremes[len(extremes)-1-i]
 		}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, req) })
-		if msg.Request == nil {
-			t.Fatalf("decoded message has no request: %+v", msg)
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, []CellRequest{req}) })
+		if len(msg.Batch) != 1 {
+			t.Fatalf("decoded message carries %d requests, want 1: %+v", len(msg.Batch), msg)
 		}
-		if !reflect.DeepEqual(*msg.Request, req) {
-			t.Fatalf("round trip changed request:\nsent %+v\ngot  %+v", req, *msg.Request)
+		if !reflect.DeepEqual(msg.Batch[0], req) {
+			t.Fatalf("round trip changed request:\nsent %+v\ngot  %+v", req, msg.Batch[0])
 		}
+		all = append(all, req)
+	}
+	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, all) })
+	if !reflect.DeepEqual(msg.Batch, all) {
+		t.Fatal("round trip changed a request of the 200-cell batch")
 	}
 }
 
@@ -91,10 +102,22 @@ func randomSchemeName(rng *stats.RNG) string {
 }
 
 // TestCellResultRoundTripProperty randomizes confusion counts across
-// the full int range; results merge into published tables, so a
-// single off-by-anything bit is a wrong paper number.
+// the full int range through the result-batch codec; results merge
+// into published tables, so a single off-by-anything bit is a wrong
+// paper number.
 func TestCellResultRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(0x0dd5)
+	sameResult := func(got, res CellResult) {
+		t.Helper()
+		if got.Err != res.Err || got.ID != res.ID {
+			t.Fatalf("round trip changed result envelope: sent %+v got %+v", res, got)
+		}
+		if len(got.Families) != len(res.Families) ||
+			(len(res.Families) > 0 && !reflect.DeepEqual(got.Families, res.Families)) {
+			t.Fatalf("round trip changed families:\nsent %+v\ngot  %+v", res.Families, got.Families)
+		}
+	}
+	var all []CellResult
 	for i := 0; i < 200; i++ {
 		res := CellResult{ID: rng.Uint64()}
 		if i%7 == 0 {
@@ -113,18 +136,19 @@ func TestCellResultRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellResult(b, res) })
-		if msg.Result == nil {
-			t.Fatalf("decoded message has no result: %+v", msg)
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeResultBatch(b, []CellResult{res}) })
+		if len(msg.Results) != 1 {
+			t.Fatalf("decoded message carries %d results, want 1: %+v", len(msg.Results), msg)
 		}
-		got := *msg.Result
-		if got.Err != res.Err || got.ID != res.ID {
-			t.Fatalf("round trip changed result envelope: sent %+v got %+v", res, got)
-		}
-		if len(got.Families) != len(res.Families) ||
-			(len(res.Families) > 0 && !reflect.DeepEqual(got.Families, res.Families)) {
-			t.Fatalf("round trip changed families:\nsent %+v\ngot  %+v", res.Families, got.Families)
-		}
+		sameResult(msg.Results[0], res)
+		all = append(all, res)
+	}
+	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeResultBatch(b, all) })
+	if len(msg.Results) != len(all) {
+		t.Fatalf("200-result batch decoded to %d results", len(msg.Results))
+	}
+	for i := range all {
+		sameResult(msg.Results[i], all[i])
 	}
 }
 
@@ -138,27 +162,38 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestCellRequestCarriesTraceRef: a captured cell's request ships its
 // trace ref exactly — the worker resolves its dataset by these
-// digests, so a mangled slot would evaluate a different dataset.
+// digests, so a mangled slot would evaluate a different dataset. The
+// wire carries digests as raw SHA-256 bytes, so a slot that is not a
+// hex SHA-256 must be refused at encode time, never shipped altered.
 func TestCellRequestCarriesTraceRef(t *testing.T) {
 	ref := experiments.TraceSetRef{
 		Train: make([]string, trace.NumApps),
 		Test:  make([]string, trace.NumApps),
 	}
-	ref.Train[2] = "aa11"
-	ref.Test[5] = "bb22"
+	ref.Train[2] = trace.Digest(randomTrace(stats.NewRNG(2), 3))
+	ref.Test[5] = trace.Digest(randomTrace(stats.NewRNG(5), 3))
 	req := CellRequest{ID: 3, Scheme: "OR", App: trace.Video, Traces: &ref}
-	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, req) })
-	if msg.Request == nil || msg.Request.Traces == nil {
+	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, []CellRequest{req}) })
+	if len(msg.Batch) != 1 || msg.Batch[0].Traces == nil {
 		t.Fatalf("trace ref lost in flight: %+v", msg)
 	}
-	if !reflect.DeepEqual(*msg.Request.Traces, ref) {
-		t.Fatalf("trace ref changed in flight: %+v vs %+v", *msg.Request.Traces, ref)
+	if !reflect.DeepEqual(*msg.Batch[0].Traces, ref) {
+		t.Fatalf("trace ref changed in flight: %+v vs %+v", *msg.Batch[0].Traces, ref)
 	}
 	// Synthetic requests must not grow a ref on the way.
 	plain := CellRequest{ID: 4, Scheme: "FH", App: trace.Gaming}
-	msg = roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, plain) })
-	if msg.Request.Traces != nil {
-		t.Fatalf("synthetic request acquired a trace ref: %+v", msg.Request.Traces)
+	msg = roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, []CellRequest{plain}) })
+	if len(msg.Batch) != 1 || msg.Batch[0].Traces != nil {
+		t.Fatalf("synthetic request acquired a trace ref: %+v", msg)
+	}
+	// Short and non-lowercase-hex digests would not survive the raw
+	// encoding unchanged; the encoder must refuse them.
+	for _, bad := range []string{"aa11", strings.ToUpper(ref.Train[2])} {
+		short := experiments.TraceSetRef{Test: []string{bad}}
+		err := EncodeCellBatch(io.Discard, []CellRequest{{ID: 5, Scheme: "OR", Traces: &short}})
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("digest %q: encode returned %v, want ErrBadFrame", bad, err)
+		}
 	}
 }
 
@@ -260,9 +295,9 @@ func TestShutdownRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip ships traces through the frame codec: the empty
-// trace, a single extreme packet (maximum timestamp, size and
-// sequence), and a randomized trace.
+// TestTraceRoundTrip ships traces through the compressed preload
+// codec: the empty trace, a single extreme packet (maximum timestamp,
+// size and sequence), and a randomized trace.
 func TestTraceRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(0x7ace)
 	cases := []*trace.Trace{
@@ -272,17 +307,17 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	for i, tr := range cases {
 		p := TracePayload{App: trace.Apps[i%len(trace.Apps)], Trace: tr}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeTrace(b, p) })
-		if msg.Trace == nil {
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeTraceCompressed(b, p) })
+		if msg.TraceZ == nil {
 			t.Fatalf("case %d: decoded message has no trace: %+v", i, msg)
 		}
-		if msg.Trace.App != p.App {
-			t.Fatalf("case %d: app %v != %v", i, msg.Trace.App, p.App)
+		if msg.TraceZ.App != p.App {
+			t.Fatalf("case %d: app %v != %v", i, msg.TraceZ.App, p.App)
 		}
-		if len(msg.Trace.Trace.Packets) != len(tr.Packets) {
-			t.Fatalf("case %d: %d packets != %d", i, len(msg.Trace.Trace.Packets), len(tr.Packets))
+		if len(msg.TraceZ.Trace.Packets) != len(tr.Packets) {
+			t.Fatalf("case %d: %d packets != %d", i, len(msg.TraceZ.Trace.Packets), len(tr.Packets))
 		}
-		if len(tr.Packets) > 0 && !reflect.DeepEqual(msg.Trace.Trace.Packets, tr.Packets) {
+		if len(tr.Packets) > 0 && !reflect.DeepEqual(msg.TraceZ.Trace.Packets, tr.Packets) {
 			t.Fatalf("case %d: packets changed in flight", i)
 		}
 	}
@@ -356,7 +391,7 @@ func TestReadHelloGuardsTheDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := CellRequest{ID: 7, Scheme: "OR", App: trace.Apps[0]}
-	if err := EncodeCellRequest(&pipelined, req); err != nil {
+	if err := EncodeCellBatch(&pipelined, []CellRequest{req}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHello(&pipelined)
@@ -370,7 +405,7 @@ func TestReadHelloGuardsTheDoor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipelined frame after hello was corrupted: %v", err)
 	}
-	if msg.Request == nil || !reflect.DeepEqual(*msg.Request, req) {
+	if len(msg.Batch) != 1 || !reflect.DeepEqual(msg.Batch[0], req) {
 		t.Errorf("pipelined request changed in flight: %+v", msg)
 	}
 }
@@ -386,22 +421,80 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	}
 	// Implausible length prefix.
 	b.Reset()
-	b.Write([]byte{kindCellRequest, 0xff, 0xff, 0xff, 0xff})
+	b.Write([]byte{kindCellBatch, 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("implausible length accepted")
 	}
 	// Truncated payload.
 	b.Reset()
-	b.Write([]byte{kindCellRequest, 10, 0, 0, 0, 'x'})
+	b.Write([]byte{kindCellBatch, 10, 0, 0, 0, 'x'})
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("truncated payload accepted")
 	}
 	// Payload that is not JSON.
 	b.Reset()
-	if err := writeFrame(&b, kindCellResult, []byte("not json")); err != nil {
+	if err := writeFrame(&b, kindTraceHave, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	// The retired v2 kinds (per-cell JSON request and result, plain
+	// trace preload) are bad frames even with well-formed payloads.
+	for kind, payload := range retiredFramePayloads(t) {
+		b.Reset()
+		if err := writeFrame(&b, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMessage(&b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("retired kind %d: ReadMessage returned %v, want ErrBadFrame", kind, err)
+		}
+	}
+}
+
+// retiredFramePayloads returns a well-formed payload of each retired
+// v2 frame kind, keyed by kind.
+func retiredFramePayloads(tb testing.TB) map[byte][]byte {
+	tb.Helper()
+	req, err := json.Marshal(CellRequest{ID: 7, Scheme: "Original", App: trace.Video})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := json.Marshal(CellResult{ID: 7, Families: []ml.Confusion{{}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var tr bytes.Buffer
+	tr.WriteByte(byte(trace.Gaming))
+	if err := trace.WriteBinary(&tr, extremeTrace()); err != nil {
+		tb.Fatal(err)
+	}
+	return map[byte][]byte{kindCellRequest: req, kindCellResult: res, kindTrace: tr.Bytes()}
+}
+
+// TestFrameKindValuesPinned: frame kinds are wire bytes. Retiring the
+// v2 kinds must not renumber the ones still spoken.
+func TestFrameKindValuesPinned(t *testing.T) {
+	kinds := []struct {
+		name      string
+		got, want byte
+	}{
+		{"hello", kindHello, 1},
+		{"cell-request (reserved)", kindCellRequest, 2},
+		{"cell-result (reserved)", kindCellResult, 3},
+		{"trace (reserved)", kindTrace, 4},
+		{"shutdown", kindShutdown, 5},
+		{"challenge", kindChallenge, 6},
+		{"trace-have", kindTraceHave, 7},
+		{"cell-batch", kindCellBatch, 8},
+		{"result-batch", kindResultBatch, 9},
+		{"trace-z", kindTraceZ, 10},
+		{"ping", kindPing, 11},
+		{"pong", kindPong, 12},
+	}
+	for _, k := range kinds {
+		if k.got != k.want {
+			t.Errorf("%s frame kind = %d, want %d", k.name, k.got, k.want)
+		}
 	}
 }

@@ -62,13 +62,6 @@ func TestStatsSnapshotFieldStability(t *testing.T) {
 		"Batches":  "int",
 	})
 
-	// The deprecated alias must stay assignment-compatible: pre-v3
-	// callers declared `var s dist.Stats`.
-	var s Stats = StatsSnapshot{RemoteCells: 1}
-	if s.RemoteCells != 1 {
-		t.Error("Stats alias diverged from StatsSnapshot")
-	}
-
 	// A snapshot is a value copy: mutating it must not alias live
 	// coordinator state. Workers is the only reference-typed field, so
 	// pin that Stats() hands out a freshly built slice.

@@ -6,9 +6,9 @@ package dist
 // ClientTLS, while tests and single-operator fleets use SelfSignedTLS
 // for an ephemeral in-memory pair. Confidentiality comes from TLS;
 // worker authentication comes from the HMAC challenge in the
-// handshake, so a fleet running with InsecureSkipVerify (the -tls-auto
-// spawn path, where workers cannot know the ephemeral cert) still
-// admits only key holders.
+// handshake, so a fleet running with InsecureSkipVerify (the
+// -dist-tls-auto spawn path, where workers cannot know the ephemeral
+// cert) still admits only key holders.
 
 import (
 	"crypto/ecdsa"

@@ -91,9 +91,9 @@ func (e *Engine) WithBackend(b Backend) *Engine {
 // BuildDataset generates training traffic, trains one adversary per
 // classifier family, and generates unseen test traffic — applications
 // and families sharded across the pool, and the pool handed down to
-// the trainers themselves (the SVM fans its one-vs-rest classes out;
-// the MLP fans each SGD step's weight rows out), so spare permits are
-// spent inside a shard whenever there are more workers than shards.
+// the SVM, which fans its one-vs-rest classes out, so spare permits
+// are spent inside a shard whenever there are more workers than
+// shards.
 // Every composition is bit-identical to the serial build. The dataset
 // carries the engine, so every later evaluation against it is sharded
 // too.

@@ -33,41 +33,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers-1)}
 }
 
-// TryAcquire claims up to n helper permits without blocking and
-// returns how many it got (possibly zero). It exists for callers
-// whose fan-out needs a team of known size before any worker starts
-// — cooperative schedules like the MLP trainer's barrier-phased row
-// team cannot ride Each, whose non-blocking recruitment may run
-// "workers" sequentially on the caller and would deadlock a barrier.
-// Claimed permits count against the pool exactly like Each helpers
-// (nested fan-outs shrink accordingly) and must be returned with
-// Release. A nil pool has no permits.
-func (p *Pool) TryAcquire(n int) int {
-	if p == nil {
-		return 0
-	}
-	for got := 0; ; got++ {
-		if got == n {
-			return got
-		}
-		select {
-		case p.sem <- struct{}{}:
-		default:
-			return got
-		}
-	}
-}
-
-// Release returns n permits claimed with TryAcquire.
-func (p *Pool) Release(n int) {
-	if p == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		<-p.sem
-	}
-}
-
 // Each invokes fn(i) for every i in [0, n). The calling goroutine
 // always processes shards itself; helper goroutines join whenever a
 // pool permit is free — checked on entry and again between the
