@@ -375,6 +375,18 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceMerge measures trace.Merge on the shape every
+// generated trace ends with: its downlink and uplink streams, each
+// already time-sorted, merged into one trace.
+func BenchmarkTraceMerge(b *testing.B) {
+	down, up := appgen.Generate(trace.Downloading, 60*time.Second, 3).ByDirection()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = trace.Merge(down, up)
+	}
+}
+
 // BenchmarkPadding measures the padding baseline's transform cost.
 func BenchmarkPadding(b *testing.B) {
 	tr := appgen.Generate(trace.Chatting, 300*time.Second, 6)

@@ -9,6 +9,7 @@
 //	            [-dist-tls-cert c -dist-tls-key k | -dist-tls-auto]
 //	            [-captured dir] [-dump-traces dir]
 //	            [-journal dir [-resume]]
+//	            [-cpuprofile f] [-memprofile f]
 //
 // Without -run, every experiment executes in the paper's order.
 // -workers sizes the concurrent sharded engine (default: all CPUs);
@@ -34,6 +35,10 @@
 // uninterrupted run. The journal implies a coordinator even without
 // -dist-workers/-dist-listen (cells must flow through it to be
 // recorded).
+//
+// -cpuprofile and -memprofile write pprof profiles of this process
+// when it exits normally (spawned -dist-workers are not profiled); the
+// report bytes do not change.
 package main
 
 import (
@@ -50,6 +55,7 @@ import (
 
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/prof"
 	"trafficreshape/internal/trace"
 )
 
@@ -76,7 +82,16 @@ func main() {
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
 	ff.RegisterServe(flag.CommandLine)
+	var pf prof.Flags
+	pf.Register(flag.CommandLine)
 	flag.Parse()
+
+	stopProf, err := pf.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	defer stopProf()
 
 	if *workerDial != "" {
 		if err := serveWorker(*workerDial, *workers, *workerTLS, fleetKey(&ff)); err != nil {

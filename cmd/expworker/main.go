@@ -27,6 +27,7 @@
 //	          [-dist-tls] [-dist-tls-ca cert.pem] [-dist-tls-insecure]
 //	          [-dist-key k | -dist-key-file f]
 //	          [-dist-cache n] [-redial d]
+//	          [-cpuprofile f] [-memprofile f]
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"trafficreshape/internal/dist"
+	"trafficreshape/internal/prof"
 )
 
 func main() {
@@ -54,6 +56,8 @@ func main() {
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
 	ff.RegisterDial(flag.CommandLine)
+	var pf prof.Flags
+	pf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *addr == "" {
@@ -66,6 +70,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "expworker:", err)
 		os.Exit(1)
 	}
+	stopProf, err := pf.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "expworker:", err)
+		os.Exit(1)
+	}
+	defer stopProf()
 	caches := dist.CacheOptions{Results: *cache, Datasets: *cacheDatasets, Traces: *cacheTraces}
 
 	// Graceful drain: the first SIGINT/SIGTERM closes the drain channel

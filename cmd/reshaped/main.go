@@ -36,6 +36,9 @@
 // uninterrupted run (-halt-after simulates the crash: exit without
 // drain). SIGINT/SIGTERM trigger a graceful drain — the report is
 // still written.
+//
+// -cpuprofile and -memprofile write pprof profiles when the run
+// exits normally; the report bytes do not change.
 package main
 
 import (
@@ -52,6 +55,7 @@ import (
 	"trafficreshape/internal/attack"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/prof"
 	"trafficreshape/internal/stream"
 	"trafficreshape/internal/trace"
 )
@@ -83,7 +87,15 @@ func main() {
 		restore   = flag.String("restore", "", "resume from this checkpoint file, skipping the already-ingested prefix")
 		haltAfter = flag.Int("halt-after", 0, "exit(3) without draining after N packets — crash simulation for the kill-and-restore harness")
 	)
+	var pf prof.Flags
+	pf.Register(flag.CommandLine)
 	flag.Parse()
+
+	stopProf, err := pf.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProf()
 
 	shedPolicy, err := stream.ParseShedPolicy(*policy)
 	if err != nil {

@@ -31,37 +31,22 @@ func seqStep(a, b uint16) int {
 
 // SequenceConsistency measures how well two per-address flows
 // interleave into a single shared counter: the fraction of adjacent
-// cross-flow pairs (in time order) whose forward sequence step is
+// packet pairs of the merged stream (in time order; on equal
+// timestamps a's packets come first) whose forward sequence step is
 // within maxStep. Same-counter flows score near 1; independent
 // counters score near maxStep/4096.
 func SequenceConsistency(a, b *trace.Trace, maxStep int) float64 {
-	type obs struct {
-		t   int64
-		seq uint16
-	}
-	merged := make([]obs, 0, a.Len()+b.Len())
-	for _, p := range a.Packets {
-		merged = append(merged, obs{int64(p.Time), p.Seq})
-	}
-	for _, p := range b.Packets {
-		merged = append(merged, obs{int64(p.Time), p.Seq})
-	}
+	merged := trace.Merge(a, b).Packets
 	if len(merged) < 2 {
 		return 0
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].t < merged[j].t })
-	ok, total := 0, 0
+	ok := 0
 	for i := 1; i < len(merged); i++ {
-		step := seqStep(merged[i-1].seq, merged[i].seq)
-		total++
-		if step >= 1 && step <= maxStep {
+		if step := seqStep(merged[i-1].Seq, merged[i].Seq); step >= 1 && step <= maxStep {
 			ok++
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ok) / float64(total)
+	return float64(ok) / float64(len(merged)-1)
 }
 
 // LinkBySequence clusters observed addresses whose pairwise sequence

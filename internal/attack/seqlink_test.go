@@ -74,6 +74,27 @@ func TestSequenceConsistencyEmpty(t *testing.T) {
 	}
 }
 
+// TestSequenceConsistencyTiesKeepFirstFlowFirst pins the tie order:
+// packets of a and b that share a timestamp are merged a-first, so
+// the counter reads 10,11,12,13 one way round and 11,10,13,12 the
+// other.
+func TestSequenceConsistencyTiesKeepFirstFlowFirst(t *testing.T) {
+	flow := func(seqs ...uint16) *trace.Trace {
+		tr := trace.New(len(seqs))
+		for i, s := range seqs {
+			tr.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, Seq: s})
+		}
+		return tr
+	}
+	a, b := flow(10, 12), flow(11, 13)
+	if c := SequenceConsistency(a, b, 1); c != 1 {
+		t.Fatalf("SequenceConsistency(a, b) = %v, want 1 (a's packet first on each tie)", c)
+	}
+	if c := SequenceConsistency(b, a, 1); c != 0 {
+		t.Fatalf("SequenceConsistency(b, a) = %v, want 0 (b's packet first on each tie)", c)
+	}
+}
+
 // TestLinkBySequenceAttackAndDefense: with a shared counter the three
 // virtual addresses of one card merge into one group (and the
 // unrelated station stays out); with per-interface counters nothing

@@ -6,8 +6,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"trafficreshape/internal/mac"
@@ -124,8 +125,8 @@ func (t *Trace) Duration() time.Duration {
 // Sort orders packets by time, stably, preserving insertion order for
 // equal timestamps so merged traces remain deterministic.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Packets, func(i, j int) bool {
-		return t.Packets[i].Time < t.Packets[j].Time
+	slices.SortStableFunc(t.Packets, func(a, b Packet) int {
+		return cmp.Compare(a.Time, b.Time)
 	})
 }
 
@@ -185,8 +186,16 @@ func (t *Trace) ByMAC() map[mac.Address]*Trace {
 	return out
 }
 
-// Merge combines traces into one time-sorted trace.
+// Merge combines traces into one time-sorted trace that shares no
+// storage with its inputs. Packets with equal timestamps keep their
+// input order: earlier traces first, storage order within a trace.
+// Two already-sorted traces (a generator's downlink and uplink
+// streams) are merged in one linear pass; any other input is
+// concatenated and stably sorted, which yields the same order.
 func Merge(traces ...*Trace) *Trace {
+	if len(traces) == 2 && traces[0].Sorted() && traces[1].Sorted() {
+		return merge2(traces[0].Packets, traces[1].Packets)
+	}
 	total := 0
 	for _, t := range traces {
 		total += t.Len()
@@ -197,6 +206,26 @@ func Merge(traces ...*Trace) *Trace {
 	}
 	out.Sort()
 	return out
+}
+
+// merge2 merges two time-sorted packet runs. On a tie the packet of a
+// goes first, as a stable sort of a followed by b would place it.
+func merge2(a, b []Packet) *Trace {
+	out := make([]Packet, len(a)+len(b))
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Time < a[i].Time {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
+	return &Trace{Packets: out}
 }
 
 // Sizes returns all packet sizes as float64s, for histogramming.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,6 +142,110 @@ func TestMerge(t *testing.T) {
 	}
 	if m.Packets[1].Size != 3 {
 		t.Fatal("merge did not interleave by time")
+	}
+}
+
+// mergeReference is the original Merge: concatenate in argument
+// order, then stable-sort by time.
+func mergeReference(traces []*Trace) []Packet {
+	var all []Packet
+	for _, t := range traces {
+		all = append(all, t.Packets...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
+	return all
+}
+
+// tieHeavyTrace draws up to 200 packets (a fifth of the traces are
+// empty) with timestamps from a 20 ms range, so equal timestamps
+// within and across traces are common. Size tags each packet with its
+// trace id and position, so any reordering of ties shows. sorted
+// selects a time-ordered trace; otherwise the packets stay in draw
+// order.
+func tieHeavyTrace(r *stats.RNG, id int, sorted bool) *Trace {
+	n := 0
+	if r.Intn(5) != 0 {
+		n = r.Intn(201)
+	}
+	tr := New(n)
+	for i := 0; i < n; i++ {
+		tr.Append(Packet{
+			Time: time.Duration(r.Intn(20)) * time.Millisecond,
+			Size: id*1000 + i,
+			Dir:  Direction(r.Intn(2)),
+			App:  App(r.Intn(NumApps)),
+			Seq:  uint16(r.Intn(4096)),
+		})
+	}
+	if sorted {
+		tr.Packets = mergeReference([]*Trace{tr})
+	}
+	return tr
+}
+
+// TestMergeMatchesStableSortReference pins Merge, both its linear
+// two-way path and its concatenate-and-sort fallback, to the original
+// algorithm on random tie-heavy inputs, and checks that the result
+// never aliases an input.
+func TestMergeMatchesStableSortReference(t *testing.T) {
+	r := stats.NewRNG(13)
+	linear := 0
+	for _, k := range []int{0, 1, 2, 3, 7} {
+		for trial := 0; trial < 200; trial++ {
+			in := make([]*Trace, k)
+			before := make([][]Packet, k)
+			allSorted := true
+			for i := range in {
+				in[i] = tieHeavyTrace(r, i+1, r.Intn(2) == 0)
+				before[i] = slices.Clone(in[i].Packets)
+				allSorted = allSorted && in[i].Sorted()
+			}
+			if k == 2 && allSorted {
+				linear++
+			}
+			want := mergeReference(in)
+			out := Merge(in...)
+			if !slices.Equal(out.Packets, want) {
+				t.Fatalf("k=%d trial %d: Merge differs from the stable-sort reference\n got %v\nwant %v", k, trial, out.Packets, want)
+			}
+			for i := range out.Packets {
+				out.Packets[i] = Packet{Time: -1, Size: -1}
+			}
+			for i := range in {
+				if !slices.Equal(in[i].Packets, before[i]) {
+					t.Fatalf("k=%d trial %d: writing the merged trace changed input %d", k, trial, i)
+				}
+			}
+		}
+	}
+	if linear == 0 {
+		t.Fatal("no draw exercised the sorted two-input path")
+	}
+}
+
+// TestSortMatchesSliceStable pins Trace.Sort to sort.SliceStable on
+// the same tie-heavy inputs, sorted and unsorted.
+func TestSortMatchesSliceStable(t *testing.T) {
+	r := stats.NewRNG(14)
+	for trial := 0; trial < 500; trial++ {
+		tr := tieHeavyTrace(r, 1, r.Intn(4) == 0)
+		want := mergeReference([]*Trace{tr})
+		tr.Sort()
+		if !slices.Equal(tr.Packets, want) {
+			t.Fatalf("trial %d: Sort differs from sort.SliceStable\n got %v\nwant %v", trial, tr.Packets, want)
+		}
+	}
+}
+
+var mergeSink *Trace
+
+// TestMergeAllocs holds the sorted two-input path to the result trace
+// and its packet slice.
+func TestMergeAllocs(t *testing.T) {
+	a, b := randomWindowTrace(1, 500), randomWindowTrace(2, 300)
+	allocs := testing.AllocsPerRun(100, func() { mergeSink = Merge(a, b) })
+	if allocs > 2 {
+		t.Fatalf("Merge of two sorted traces: %v allocs/op, want <= 2", allocs)
 	}
 }
 
