@@ -50,3 +50,19 @@ func TestCPUProfileLeavesReportUnchanged(t *testing.T) {
 		t.Fatalf("cpu profile missing or empty: %v", err)
 	}
 }
+
+// TestExecutionTraceLeavesReportUnchanged: -trace writes a non-empty
+// execution trace and the report is byte-identical to the same run
+// without it.
+func TestExecutionTraceLeavesReportUnchanged(t *testing.T) {
+	args := []string{"-quick", "-run", "table1"}
+	plain := runExperiments(t, args...)
+	tr := filepath.Join(t.TempDir(), "run.trace")
+	traced := runExperiments(t, append(args, "-trace", tr)...)
+	if !bytes.Equal(plain, traced) {
+		t.Fatalf("report differs under -trace:\n--- plain\n%s\n--- traced\n%s", plain, traced)
+	}
+	if fi, err := os.Stat(tr); err != nil || fi.Size() == 0 {
+		t.Fatalf("execution trace missing or empty: %v", err)
+	}
+}

@@ -30,6 +30,7 @@ import (
 // binary with DIST_TEST_WORKER_ADDR set turns it into a real worker
 // process, which is how the *WorkerProcesses tests get genuine
 // multi-process coverage without shelling out to the go tool.
+// DIST_TEST_SLOTS sets the worker's slot count (0 keeps the default).
 // DIST_TEST_KEY and DIST_TEST_TLS=insecure configure the subprocess
 // for the authenticated/encrypted fleet tests: the worker cannot know
 // the parent's ephemeral self-signed certificate, so it encrypts
@@ -38,7 +39,9 @@ import (
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("DIST_TEST_WORKER_ADDR"); addr != "" {
 		maxCells, _ := strconv.Atoi(os.Getenv("DIST_TEST_MAX_CELLS"))
+		slots, _ := strconv.Atoi(os.Getenv("DIST_TEST_SLOTS"))
 		opt := dist.WorkerOptions{
+			Slots:         slots,
 			EngineWorkers: 2,
 			MaxCells:      maxCells,
 			Net:           dist.NetOptions{AuthKey: os.Getenv("DIST_TEST_KEY")},
@@ -161,8 +164,10 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	}
 	defer coord.Close()
 	// Short-lived worker: answers one cell, then aborts while holding
-	// the next assignment. Healthy worker: serves the rest.
-	shortLived := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, MaxCells: 1})
+	// the next assignment. Its two slots put both cells in its first
+	// batch, so the abort does not depend on the healthy worker leaving
+	// it a second cell. Healthy worker: serves the rest.
+	shortLived := startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, MaxCells: 1})
 	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -207,8 +212,12 @@ func TestCellTimeoutReassignment(t *testing.T) {
 	}
 	defer coord.Close()
 	// Wedged worker: answers one cell, then swallows every later
-	// request while staying connected. Healthy worker: serves the rest.
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, WedgeCells: 1})
+	// request while staying connected. Its two slots put the swallowed
+	// request in its first batch: the grid is queued whole before
+	// either dispatcher pops, and the healthy worker's two slots leave
+	// far more than two of the cells, so the wedge happens however the
+	// two dispatchers interleave. Healthy worker: serves the rest.
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, WedgeCells: 1})
 	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -351,9 +360,12 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	}
 	defer coord.Close()
 	// One worker dies after three cells (its fourth assignment is
-	// stranded mid-flight); one healthy worker carries the rest.
-	spawnWorkerProcess(t, coord.Addr(), 3)
-	spawnWorkerProcess(t, coord.Addr(), 0)
+	// stranded mid-flight); one healthy worker carries the rest. The
+	// dying worker's four slots put all four cells in its first batch,
+	// and the healthy worker's two slots cannot take the grid from under
+	// it, so the death is delivered by construction, not by cell speed.
+	spawnWorkerProcess(t, coord.Addr(), 3, "DIST_TEST_SLOTS=4")
+	spawnWorkerProcess(t, coord.Addr(), 0, "DIST_TEST_SLOTS=2")
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -54,16 +54,19 @@ type WorkerOptions struct {
 	// MaxCells > 0 makes the worker abort its connection — without
 	// answering — when request MaxCells+1 arrives. Cells it already
 	// answered stand (they are pure and identical everywhere); the
-	// aborted one must be reassigned by the coordinator. Serving is
-	// forced to one slot so the abort point is deterministic. This
-	// exists for worker-death testing.
+	// aborted one must be reassigned by the coordinator. Unless Slots
+	// is set, serving is forced to one slot so the abort point is
+	// deterministic; with Slots = MaxCells+1 the worker's first batch
+	// already holds the fatal request, so the abort happens whatever
+	// the rest of the fleet does. This exists for worker-death testing.
 	MaxCells int
 	// WedgeCells > 0 makes the worker go silent from request
 	// WedgeCells+1 on: later requests are read and dropped while the
 	// connection stays open — the wedged-but-alive failure mode that
 	// only CoordinatorOptions.CellTimeout can detect (TCP never
-	// breaks). Serving is forced to one slot so the wedge point is
-	// deterministic. This exists for cell-timeout testing.
+	// breaks). Slots defaults to one as for MaxCells, and Slots =
+	// WedgeCells+1 likewise puts the first swallowed request in the
+	// first batch. This exists for cell-timeout testing.
 	WedgeCells int
 	// WedgeFor bounds the wedge: after silently swallowing this many
 	// requests the worker recovers and serves normally again — the
@@ -154,9 +157,9 @@ func Serve(addr string, opt WorkerOptions) error {
 	slots := opt.Slots
 	if slots <= 0 {
 		slots = runtime.GOMAXPROCS(0)
-	}
-	if opt.MaxCells > 0 || opt.WedgeCells > 0 {
-		slots = 1
+		if opt.MaxCells > 0 || opt.WedgeCells > 0 {
+			slots = 1
+		}
 	}
 	conn, err := dialCoordinator(addr, opt.Net)
 	if err != nil {

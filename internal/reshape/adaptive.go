@@ -35,16 +35,17 @@ const LMax = 1576
 // Structural invariant: the scheduler always holds exactly i edges,
 // strictly ascending within (0, LMax] — rederive rewrites them in
 // place and can produce nothing else, so Assign needs no defensive
-// clamp and Edges() passes Ranges.Validate after every epoch. All
-// steady-state work (Assign, rederive) reuses preallocated scratch
-// and performs zero heap allocations, which is what lets the
-// streaming daemon run one Adaptive per flow across millions of
-// flows.
+// clamp and Edges() passes Ranges.Validate after every epoch. The
+// per-flow footprint is the edges plus the pending size window, which
+// grows with the packets seen up to one period and is then reused;
+// rederive's histogram lives on its own stack frame. Once the window
+// has reached a full period, Assign and rederive perform zero heap
+// allocations, which is what lets the streaming daemon run one
+// Adaptive per flow across millions of flows.
 type Adaptive struct {
 	i      int
 	period int
-	window []int   // recent packet sizes, bounded by period
-	counts []int32 // rederive scratch: size histogram, one bucket per size in [0, LMax]
+	window []int // recent packet sizes, bounded by period
 	edges  Ranges
 	seen   int
 	epochs int
@@ -78,8 +79,6 @@ func NewAdaptive(i, period int) *Adaptive {
 	return &Adaptive{
 		i:      i,
 		period: period,
-		window: make([]int, 0, period),
-		counts: make([]int32, LMax+1),
 		edges:  edges,
 	}
 }
@@ -117,11 +116,13 @@ func (a *Adaptive) Assign(p trace.Packet) int {
 // histogram fill plus one bucket walk replaces an O(n log n) sort.
 // Profiling showed the periodic sort was ~30% of the streaming
 // engine's per-packet budget; the histogram is a few ns amortized.
-// Oversized quantiles land in the LMax bucket, which yields the same
-// final edges the raw-value sort would: every quantile at or above
-// ℓ_max collapses through the backward strict-ascent walk below.
+// It is a stack array, zeroed per call, so no flow carries it between
+// epochs. Oversized quantiles land in the LMax bucket, which yields
+// the same final edges the raw-value sort would: every quantile at or
+// above ℓ_max collapses through the backward strict-ascent walk below.
 func (a *Adaptive) rederive() {
 	a.epochs++
+	var counts [LMax + 1]int32
 	hi := 0
 	for _, s := range a.window {
 		if s > LMax {
@@ -130,25 +131,22 @@ func (a *Adaptive) rederive() {
 		if s < 0 {
 			s = 0
 		}
-		a.counts[s]++
+		counts[s]++
 		if s > hi {
 			hi = s
 		}
 	}
-	// Walk the occupied buckets once, reading quantiles and re-zeroing
-	// in the same pass so the histogram is clean for the next epoch
-	// without a full clear.
+	// Walk the occupied buckets once, reading quantiles.
 	n := len(a.window)
 	prev := 0
 	k := 1
 	target := n * k / a.i // index into the (virtual) sorted window
 	cum := 0
 	for v := 0; v <= hi; v++ {
-		c := int(a.counts[v])
+		c := int(counts[v])
 		if c == 0 {
 			continue
 		}
-		a.counts[v] = 0
 		cum += c
 		for k < a.i && cum > target { // sorted[target] == v
 			q := v
@@ -194,8 +192,8 @@ func (a *Adaptive) Epochs() int { return a.epochs }
 
 // AdaptiveState is the serializable snapshot of an Adaptive scheduler:
 // everything a restored scheduler needs to continue the exact decision
-// sequence the original would have produced. The counting-sort scratch
-// is excluded — it is all-zero between Assign calls by construction.
+// sequence the original would have produced. rederive's histogram is
+// not state: it is rebuilt from Window on every call.
 type AdaptiveState struct {
 	Interfaces int
 	Period     int
@@ -247,13 +245,11 @@ func RestoreAdaptive(st AdaptiveState) (*Adaptive, error) {
 	a := &Adaptive{
 		i:      st.Interfaces,
 		period: st.Period,
-		window: make([]int, len(st.Window), st.Period),
-		counts: make([]int32, LMax+1),
+		window: append([]int(nil), st.Window...),
 		edges:  make(Ranges, st.Interfaces),
 		seen:   st.Seen,
 		epochs: st.Epochs,
 	}
-	copy(a.window, st.Window)
 	copy(a.edges, st.Edges)
 	return a, nil
 }

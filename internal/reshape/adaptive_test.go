@@ -2,10 +2,12 @@ package reshape
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"trafficreshape/internal/appgen"
+	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
@@ -299,5 +301,106 @@ func TestAdaptiveChangesSubflowStats(t *testing.T) {
 	}
 	if shifted < 2 {
 		t.Errorf("only %d interfaces shifted their mean size away from the original", shifted)
+	}
+}
+
+// sortQuantileEdges is the comparison-sort derivation rederive's
+// counting sort replaced: edge k-1 is the raw sorted window's
+// element n*k/i, bumped to keep strict ascent, then the top edge is
+// pinned to ℓ_max and the lower ones walked back below it.
+func sortQuantileEdges(window []int, i int) Ranges {
+	sorted := slices.Clone(window)
+	slices.Sort(sorted)
+	n := len(sorted)
+	edges := make(Ranges, i)
+	prev := 0
+	for k := 1; k < i; k++ {
+		q := sorted[n*k/i]
+		if q <= prev {
+			q = prev + 1
+		}
+		edges[k-1] = q
+		prev = q
+	}
+	edges[i-1] = LMax
+	for k := i - 2; k >= 0; k-- {
+		if edges[k] >= edges[k+1] {
+			edges[k] = edges[k+1] - 1
+		}
+	}
+	return edges
+}
+
+// randomSize draws from a mix that stresses the histogram's clamping:
+// sizes at or below zero, above ℓ_max, a few repeated point masses,
+// and uniform sizes across the whole range.
+func randomSize(r *stats.RNG) int {
+	switch r.Intn(6) {
+	case 0:
+		return r.IntRange(-40, 0)
+	case 1:
+		return r.IntRange(LMax+1, 3*LMax)
+	case 2:
+		return []int{1, 40, 576, LMax - 1, LMax}[r.Intn(5)]
+	default:
+		return r.IntRange(1, LMax)
+	}
+}
+
+// TestAdaptiveRederiveMatchesSortReference pins the stack-histogram
+// rederive to the sort-based quantile reference: after every epoch of
+// a random size stream, Edges() equals the reference derived from
+// that epoch's window, and every packet is routed by the previous
+// epoch's edges. Midway through one window the scheduler is
+// snapshotted and restored; the restored copy must continue the exact
+// assignment and edge sequence of the original.
+func TestAdaptiveRederiveMatchesSortReference(t *testing.T) {
+	for _, i := range []int{1, 2, 3, 16} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r := stats.NewRNG(seed*100 + uint64(i))
+			period := i + 1 + r.Intn(120)
+			a := NewAdaptive(i, period)
+			var restored *Adaptive
+			cut := period*3 + 1 + r.Intn(period-1) // mid-window, after three epochs
+			want := a.Edges()
+			window := make([]int, 0, period)
+			for k := 0; k < period*8; k++ {
+				if k == cut {
+					var err error
+					if restored, err = RestoreAdaptive(a.State()); err != nil {
+						t.Fatalf("i=%d seed=%d: restore: %v", i, seed, err)
+					}
+				}
+				p := trace.Packet{Size: randomSize(r)}
+				idx := a.Assign(p)
+				if ref := want.BinOf(p.Size); idx != ref {
+					t.Fatalf("i=%d seed=%d pkt %d: size %d assigned %d, reference %d (edges %v)",
+						i, seed, k, p.Size, idx, ref, want)
+				}
+				if restored != nil {
+					if got := restored.Assign(p); got != idx {
+						t.Fatalf("i=%d seed=%d pkt %d: restored scheduler assigned %d, original %d", i, seed, k, got, idx)
+					}
+				}
+				window = append(window, p.Size)
+				if len(window) < period {
+					continue
+				}
+				want = sortQuantileEdges(window, i)
+				window = window[:0]
+				if got := a.Edges(); !slices.Equal(got, want) {
+					t.Fatalf("i=%d seed=%d period=%d epoch %d: edges %v, sort reference %v",
+						i, seed, period, a.Epochs(), got, want)
+				}
+				if restored != nil {
+					if got := restored.Edges(); !slices.Equal(got, want) {
+						t.Fatalf("i=%d seed=%d epoch %d: restored edges %v, reference %v", i, seed, a.Epochs(), got, want)
+					}
+				}
+			}
+			if restored == nil || restored.Seen() != a.Seen() || restored.Epochs() != a.Epochs() {
+				t.Fatalf("i=%d seed=%d: restored scheduler missing or diverged in its counters", i, seed)
+			}
+		}
 	}
 }

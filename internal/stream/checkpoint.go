@@ -98,7 +98,7 @@ func snapFlow(f *flowState) flowSnap {
 		ifassign:    make([]uint8, n),
 	}
 	start := 0
-	if n == len(f.ifbuf) {
+	if n == f.ring.Cap() {
 		start = f.slot
 	}
 	for i := 0; i < n; i++ {
@@ -136,7 +136,7 @@ func (sh *shard) restoreFlow(s *flowSnap) (*flowState, error) {
 	f := &flowState{
 		addr:        s.addr,
 		ring:        trace.NewRing(e.cfg.RingCap),
-		ifbuf:       make([]uint8, e.cfg.RingCap),
+		ifbuf:       append([]uint8(nil), s.ifassign...),
 		sched:       sched,
 		ifaces:      s.ifaces,
 		client:      vmac.NewClient(s.addr),
@@ -157,9 +157,8 @@ func (sh *shard) restoreFlow(s *flowSnap) (*flowState, error) {
 		predHist:    s.predHist,
 	}
 	f.rng.RestoreState(s.rng)
-	for i, p := range s.ring {
+	for _, p := range s.ring {
 		f.ring.Push(p)
-		f.ifbuf[i] = s.ifassign[i]
 	}
 	f.slot = len(s.ring) % e.cfg.RingCap
 	if s.granted > 0 {

@@ -17,42 +17,132 @@ import (
 // uninterrupted run. Exercised with the self-audit on so the
 // checkpoint carries mid-stream classifier state, leak streaks and
 // open windows, not just counters.
+//
+// Two crafted flows pin the ring shapes restore has to rebuild: one
+// holds 23 packets in its open window at the cut (a ring part-way
+// through growing, holding a count that is no power of two), the other
+// 50, which at RingCap 37 has wrapped the ring 13 slots past its
+// origin. Both configurations must resume byte-identically. A second
+// checkpoint, once the crafted flows have sent 30 more packets each,
+// must also match the uninterrupted run's byte for byte: it carries
+// every held packet's interface assignment, which the report only
+// samples through the audit's verdicts.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	cls := auditClassifier(t, 5*time.Second)
-	in := capture(t, 30*time.Second, 42)
-	cut := len(in.Packets) / 2
-	cfg := func(shards int) Config {
-		return Config{Seed: 11, Shards: shards, Classifier: cls, BatchSize: 64}
+	base := capture(t, 30*time.Second, 42)
+	cutAt := base.Packets[len(base.Packets)/2].Time
+	partial, wrapped := flowMAC(20), flowMAC(21)
+	crafted := trace.New(0)
+	for _, f := range []struct {
+		addr   mac.Address
+		before int
+	}{{partial, 23}, {wrapped, 50}} {
+		for i := 0; i < f.before+30; i++ {
+			crafted.Append(trace.Packet{
+				Time: cutAt + time.Duration(i-f.before)*time.Millisecond + time.Microsecond,
+				Size: 80 + 37*i%1400,
+				Dir:  trace.Direction(i % 2),
+				MAC:  f.addr,
+			})
+		}
+	}
+	crafted.Sort()
+	in := trace.Merge(base, crafted)
+	cut := 0
+	for cut < len(in.Packets) && in.Packets[cut].Time < cutAt {
+		cut++
+	}
+	cut2 := cut
+	for cut2 < len(in.Packets) && in.Packets[cut2].Time <= cutAt+40*time.Millisecond {
+		cut2++
 	}
 
-	full := New(cfg(4))
-	full.IngestTrace(in)
-	want := renderReport(t, full.Drain())
+	for _, ringCap := range []int{0, 37} {
+		cfg := func(shards int) Config {
+			return Config{Seed: 11, Shards: shards, Classifier: cls, BatchSize: 64, RingCap: ringCap}
+		}
+		full := New(cfg(4))
+		for _, p := range in.Packets[:cut2] {
+			full.Ingest(p)
+		}
+		var wantCk bytes.Buffer
+		if err := full.Checkpoint(&wantCk); err != nil {
+			t.Fatalf("ring=%d uninterrupted checkpoint: %v", ringCap, err)
+		}
+		for _, p := range in.Packets[cut2:] {
+			full.Ingest(p)
+		}
+		want := renderReport(t, full.Drain())
 
-	for _, shards := range []int{0, 1, 4, 8} {
-		a := New(cfg(shards))
-		for _, p := range in.Packets[:cut] {
-			a.Ingest(p)
-		}
-		var ck bytes.Buffer
-		if err := a.Checkpoint(&ck); err != nil {
-			t.Fatalf("shards=%d checkpoint: %v", shards, err)
-		}
-		a.Drain() // the "crashed" daemon's goroutines; its report is discarded
+		for _, shards := range []int{0, 1, 4, 8} {
+			a := New(cfg(shards))
+			for _, p := range in.Packets[:cut] {
+				a.Ingest(p)
+			}
+			var ck bytes.Buffer
+			if err := a.Checkpoint(&ck); err != nil {
+				t.Fatalf("ring=%d shards=%d checkpoint: %v", ringCap, shards, err)
+			}
+			a.Drain() // the "crashed" daemon's goroutines; its report is discarded
+			if shards == 0 {
+				checkCraftedRings(t, ck.Bytes(), ringCap, map[mac.Address]int{partial: 23, wrapped: 50})
+			}
 
-		b := New(cfg(shards))
-		if err := b.Restore(bytes.NewReader(ck.Bytes())); err != nil {
-			t.Fatalf("shards=%d restore: %v", shards, err)
+			b := New(cfg(shards))
+			if err := b.Restore(bytes.NewReader(ck.Bytes())); err != nil {
+				t.Fatalf("ring=%d shards=%d restore: %v", ringCap, shards, err)
+			}
+			if got := b.Offered(); got != int64(cut) {
+				t.Fatalf("ring=%d shards=%d restored offset %d, want %d", ringCap, shards, got, cut)
+			}
+			for _, p := range in.Packets[cut:cut2] {
+				b.Ingest(p)
+			}
+			var ck2 bytes.Buffer
+			if err := b.Checkpoint(&ck2); err != nil {
+				t.Fatalf("ring=%d shards=%d second checkpoint: %v", ringCap, shards, err)
+			}
+			if !bytes.Equal(ck2.Bytes(), wantCk.Bytes()) {
+				t.Errorf("ring=%d shards=%d: checkpoint after resuming differs from the uninterrupted run's", ringCap, shards)
+			}
+			for _, p := range in.Packets[cut2:] {
+				b.Ingest(p)
+			}
+			if got := renderReport(t, b.Drain()); !bytes.Equal(got, want) {
+				t.Errorf("ring=%d shards=%d resumed report diverges from uninterrupted run:\n--- full ---\n%s--- resumed ---\n%s",
+					ringCap, shards, want, got)
+			}
 		}
-		if got := b.Offered(); got != int64(cut) {
-			t.Fatalf("shards=%d restored offset %d, want %d", shards, got, cut)
+	}
+}
+
+// checkCraftedRings confirms the checkpoint really carries the ring
+// shapes TestCheckpointRestoreEquivalence means to exercise: each
+// crafted flow holds its open-window packets, capped at the ring
+// bound, with the overflow counted as evicted.
+func checkCraftedRings(t *testing.T, ck []byte, ringCap int, pushed map[mac.Address]int) {
+	t.Helper()
+	d, err := decodeCheckpoint(bytes.NewReader(ck))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if ringCap == 0 {
+		ringCap = 4096
+	}
+	for addr, n := range pushed {
+		var snap *flowSnap
+		for i := range d.flows {
+			if d.flows[i].addr == addr {
+				snap = &d.flows[i]
+			}
 		}
-		for _, p := range in.Packets[cut:] {
-			b.Ingest(p)
+		if snap == nil {
+			t.Fatalf("ring=%d: crafted flow %s missing from the checkpoint", ringCap, addr)
 		}
-		if got := renderReport(t, b.Drain()); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d resumed report diverges from uninterrupted run:\n--- full ---\n%s--- resumed ---\n%s",
-				shards, want, got)
+		held := min(n, ringCap)
+		if len(snap.ring) != held || snap.evicted != int64(n-held) {
+			t.Fatalf("ring=%d: flow %s checkpointed %d packets, %d evicted; want %d, %d",
+				ringCap, addr, len(snap.ring), snap.evicted, held, n-held)
 		}
 	}
 }

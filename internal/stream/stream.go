@@ -1,7 +1,7 @@
 // Package stream is the online reshaping engine: the long-running
 // counterpart of the batch grid evaluation. Packets arrive one at a
-// time, are routed to a per-flow state machine (fixed-capacity ring
-// window, adaptive scheduler, virtual-interface grant), and the
+// time, are routed to a per-flow state machine (bounded ring window,
+// adaptive scheduler, virtual-interface grant), and the
 // defense reacts as the flow evolves — re-deriving the scheduler's
 // size ranges every epoch, auditing its own reshaping through the
 // eavesdropper's classifier, and escalating the interface count via
@@ -124,7 +124,9 @@ type Config struct {
 	// RingCap bounds the packets held per flow window (default 4096).
 	// A window with more packets than RingCap keeps only the most
 	// recent RingCap for classification; qualification still counts
-	// every packet.
+	// every packet. It is a bound, not an allocation: a flow's ring
+	// grows by doubling as its windows fill, so memory follows the
+	// packets a flow has held, not the flows seen.
 	RingCap int
 	// Interfaces is the initial virtual interface count per flow
 	// (default 3, the paper's recommendation).
@@ -253,7 +255,7 @@ func flowHash(a mac.Address) uint64 {
 type flowState struct {
 	addr   mac.Address
 	ring   *trace.Ring
-	ifbuf  []uint8 // interface assignment per ring slot
+	ifbuf  []uint8 // interface assignment per ring slot; grows with the ring up to RingCap
 	slot   int     // next ifbuf write position, mirrors the ring head
 	sched  *reshape.Adaptive
 	ifaces int
@@ -776,9 +778,12 @@ func (sh *shard) ingest(p trace.Packet) int {
 	if f.ring.Push(p) {
 		f.evicted++
 	}
+	if f.slot == len(f.ifbuf) {
+		f.ifbuf = growIfbuf(f.ifbuf, sh.e.cfg.RingCap)
+	}
 	f.ifbuf[f.slot] = uint8(iface)
 	f.slot++
-	if f.slot == len(f.ifbuf) {
+	if f.slot == sh.e.cfg.RingCap {
 		f.slot = 0
 	}
 	if p.Dir == trace.Downlink {
@@ -791,6 +796,16 @@ func (sh *shard) ingest(p trace.Packet) int {
 	return iface
 }
 
+// growIfbuf doubles the interface-assignment buffer (from 16 entries),
+// clamped to ringCap, so it stays within a factor of two of the most
+// packets the flow has held. Growth happens only before the ring
+// wraps, while slot == len(ifbuf); from the wrap on, len is ringCap.
+func growIfbuf(ifbuf []uint8, ringCap int) []uint8 {
+	grown := make([]uint8, min(max(2*len(ifbuf), 16), ringCap))
+	copy(grown, ifbuf)
+	return grown
+}
+
 // newFlow builds per-flow state and performs the initial Figure 2
 // virtual-interface grant. The flow's RNG stream is SplitAt(flowHash):
 // independent of every other flow and of shard count.
@@ -799,7 +814,6 @@ func (sh *shard) newFlow(addr mac.Address) *flowState {
 	f := &flowState{
 		addr:   addr,
 		ring:   trace.NewRing(e.cfg.RingCap),
-		ifbuf:  make([]uint8, e.cfg.RingCap),
 		sched:  reshape.NewAdaptive(e.cfg.Interfaces, e.cfg.Period),
 		ifaces: e.cfg.Interfaces,
 		client: vmac.NewClient(addr),
@@ -866,7 +880,7 @@ func (sh *shard) closeWindow(f *flowState) {
 		// surviving slot) once it wrapped.
 		n := f.ring.Len()
 		start := 0
-		if n == len(f.ifbuf) {
+		if n == sh.e.cfg.RingCap {
 			start = f.slot
 		}
 		for k := 0; k < f.ifaces; k++ {

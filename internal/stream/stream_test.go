@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -244,6 +245,63 @@ func TestRingEvictionBoundsMemory(t *testing.T) {
 	rep := e.Drain()
 	if f := rep.Flows[0]; f.Evicted != 92 || f.Packets != 100 {
 		t.Errorf("evicted=%d packets=%d with RingCap=8, want 92/100", f.Evicted, f.Packets)
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestMACSprayBoundsFlowMemory pins per-flow memory to the packets a
+// flow holds, not to RingCap. Source MACs come off the air, so a
+// spoofer can mint a new flow with every packet: 5000 one-packet MACs
+// must hold at most 16 KB of live heap per flow (a ring allocated at
+// the default RingCap alone is 196 KB). Every offered packet is
+// accounted for, and the report is byte-identical at 1, 4 and 8
+// shards.
+func TestMACSprayBoundsFlowMemory(t *testing.T) {
+	const flows = 5000
+	const maxPerFlow = 16 << 10
+	spray := make([]trace.Packet, flows)
+	for i := range spray {
+		spray[i] = trace.Packet{
+			Time: time.Duration(i) * time.Microsecond,
+			Size: 60 + i%1400,
+			Dir:  trace.Direction(i % 2),
+			MAC:  mac.Address{0x02, 0x5a, 0x00, byte(i >> 16), byte(i >> 8), byte(i)},
+		}
+	}
+	var want []byte
+	for _, shards := range []int{1, 4, 8} {
+		before := liveHeap()
+		e := New(Config{Seed: 5, Shards: shards})
+		for _, p := range spray {
+			e.Ingest(p)
+		}
+		rep := e.Drain()
+		after := liveHeap()
+		per := (int64(after) - int64(before)) / flows
+		t.Logf("shards=%d: %d B of live heap per flow", shards, per)
+		if per > maxPerFlow {
+			t.Errorf("shards=%d: %d flows hold %d B of live heap each, want <= %d",
+				shards, flows, per, maxPerFlow)
+		}
+		runtime.KeepAlive(e)
+		if len(rep.Flows) != flows || rep.Offered != flows || rep.Packets != flows {
+			t.Fatalf("shards=%d: flows=%d offered=%d packets=%d, want %d each",
+				shards, len(rep.Flows), rep.Offered, rep.Packets, flows)
+		}
+		assertConservation(t, rep)
+		got := renderReport(t, rep)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("shards=%d report differs from shards=1", shards)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"trafficreshape/internal/stats"
 )
 
 func ringPacket(i int) Packet {
@@ -99,6 +101,9 @@ func TestRingPanics(t *testing.T) {
 	}
 }
 
+// TestRingSteadyStateAllocFree: once a ring has grown to its
+// high-water mark (the first cycle below), push/drain/reset cycles
+// never touch the heap.
 func TestRingSteadyStateAllocFree(t *testing.T) {
 	r := NewRing(64)
 	scratch := make([]Packet, 0, 64)
@@ -113,5 +118,101 @@ func TestRingSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ring push/drain cycle allocates %.1f, want 0", allocs)
+	}
+}
+
+// refRing is the fixed-capacity ring the growing Ring replaced: all
+// storage allocated up front, wrapping at cap(buf). The model test
+// holds Ring to its observable behaviour.
+type refRing struct {
+	buf   []Packet
+	head  int
+	total int
+}
+
+func (r *refRing) push(p Packet) bool {
+	r.total++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, p)
+		return false
+	}
+	r.buf[r.head] = p
+	r.head = (r.head + 1) % cap(r.buf)
+	return true
+}
+
+func (r *refRing) at(i int) Packet { return r.buf[(r.head+i)%len(r.buf)] }
+
+func (r *refRing) reset() { r.buf = r.buf[:0]; r.head = 0; r.total = 0 }
+
+// TestRingMatchesFixedCapacityModel drives random Push/Reset
+// sequences through Ring and the fixed-capacity reference at bounds
+// around the first growth step (15, 16, 17), the degenerate 1 and 2,
+// and the daemon's default 4096. Every step must agree on Len, Total
+// and the eviction flag; At and AppendTo are compared in full on small
+// rings and at every Reset, and sampled otherwise. Storage must never
+// exceed the bound.
+func TestRingMatchesFixedCapacityModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 15, 16, 17, 4096} {
+		rng := stats.NewRNG(uint64(capacity))
+		r := NewRing(capacity)
+		ref := &refRing{buf: make([]Packet, 0, capacity)}
+		check := func(step int, full bool) {
+			t.Helper()
+			if r.Len() != len(ref.buf) || r.Total() != ref.total {
+				t.Fatalf("cap %d step %d: len=%d total=%d, model len=%d total=%d",
+					capacity, step, r.Len(), r.Total(), len(ref.buf), ref.total)
+			}
+			if r.Cap() != capacity {
+				t.Fatalf("cap %d step %d: Cap() = %d", capacity, step, r.Cap())
+			}
+			if c := cap(r.buf); c > capacity {
+				t.Fatalf("cap %d step %d: storage grew to %d slots", capacity, step, c)
+			}
+			if r.Len() == 0 {
+				return
+			}
+			if !full {
+				i := rng.Intn(r.Len())
+				if r.At(i) != ref.at(i) {
+					t.Fatalf("cap %d step %d: At(%d) = %v, model %v", capacity, step, i, r.At(i), ref.at(i))
+				}
+				return
+			}
+			got := r.AppendTo(nil)
+			for i := range got {
+				if want := ref.at(i); got[i] != want || r.At(i) != want {
+					t.Fatalf("cap %d step %d: slot %d AppendTo=%v At=%v, model %v",
+						capacity, step, i, got[i], r.At(i), want)
+				}
+			}
+		}
+		steps := 3*capacity + 200
+		small := capacity <= 17
+		evictions := 0
+		for step := 0; step < steps; step++ {
+			// Resets are rare enough that every capacity wraps several
+			// times between them, and the rings are reused after each.
+			if rng.Intn(capacity+40) == 0 {
+				check(step, true)
+				r.Reset()
+				ref.reset()
+				check(step, true)
+				continue
+			}
+			p := ringPacket(step)
+			got, want := r.Push(p), ref.push(p)
+			if got != want {
+				t.Fatalf("cap %d step %d: Push evicted=%v, model %v", capacity, step, got, want)
+			}
+			if got {
+				evictions++
+			}
+			check(step, small || step%256 == 0)
+		}
+		check(steps, true)
+		if evictions == 0 {
+			t.Fatalf("cap %d: the sequence never wrapped the ring", capacity)
+		}
 	}
 }
