@@ -5,11 +5,10 @@ package dist
 // records, written as each wire-addressable cell completes and read
 // back by `experiments -journal DIR -resume` after a coordinator
 // crash, so a restarted grid re-dispatches only the cells that never
-// answered. The codec follows the TRCK checkpoint style
-// (internal/stream/checkpoint.go): magic + version header, little-
-// endian fixed-width scalars, every length bounds-checked before it
-// allocates — but CRC-guards each record instead of the whole file,
-// because the file is append-only and must survive losing its tail.
+// answered. The codec follows the internal/wire conventions, but
+// unlike the TRCK checkpoint it CRC-seals each record instead of the
+// whole file, because the file is append-only and must survive losing
+// its tail.
 //
 // Layout:
 //
@@ -32,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -40,13 +38,14 @@ import (
 
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
 const (
 	journalMagic   = "TRGJ"
 	journalVersion = 1
 	// journalHeaderLen is magic + version + dim.
-	journalHeaderLen = len(journalMagic) + 4 + 1
+	journalHeaderLen = wire.HeaderLen + 1
 	// maxJournalRecord bounds one record payload: a key is well under
 	// a kilobyte and families a few hundred bytes, so anything near
 	// this limit is corruption, refused before allocating.
@@ -140,73 +139,50 @@ func OpenGridJournal(path string, resume bool) (*GridJournal, error) {
 }
 
 func journalHeader() []byte {
-	b := make([]byte, 0, journalHeaderLen)
-	b = append(b, journalMagic...)
-	b = binary.LittleEndian.AppendUint32(b, journalVersion)
-	return append(b, byte(trace.NumApps))
+	return append(wire.AppendHeader(nil, journalMagic, journalVersion), byte(trace.NumApps))
 }
 
 // readJournal decodes a journal image: header, then records until the
 // first torn one. It returns the intact entries in file order and the
 // byte offset the intact prefix ends at (callers truncate there).
 // Only header-level problems are errors; record-level damage is a
-// tear, by design — every record was CRC-stamped when written, so a
+// tear, by design — every record was CRC-sealed when written, so a
 // bad record means the file ends in a crash's debris.
 func readJournal(data []byte) (entries []journalEntry, valid int, err error) {
-	if len(data) < journalHeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrBadJournal, len(data))
+	c := wire.NewCursor(data, ErrBadJournal)
+	c.Header(journalMagic, journalVersion)
+	if dim := int(c.U8()); c.Err() == nil && dim != trace.NumApps {
+		c.Fail("confusion dimension %d, want %d", dim, trace.NumApps)
 	}
-	if string(data[:len(journalMagic)]) != journalMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadJournal)
+	if c.Err() != nil {
+		return nil, 0, c.Err()
 	}
-	if v := binary.LittleEndian.Uint32(data[len(journalMagic) : len(journalMagic)+4]); v != journalVersion {
-		return nil, 0, fmt.Errorf("%w: version %d, want %d", ErrBadJournal, v, journalVersion)
-	}
-	if dim := int(data[journalHeaderLen-1]); dim != trace.NumApps {
-		return nil, 0, fmt.Errorf("%w: confusion dimension %d, want %d", ErrBadJournal, dim, trace.NumApps)
-	}
-	off := journalHeaderLen
-	for len(data)-off >= 8 {
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n > maxJournalRecord || len(data)-off-8 < n {
-			break // torn or implausible length
+	valid = c.Offset()
+	for valid < len(data) {
+		n := int(c.U32())
+		if n > maxJournalRecord {
+			break // implausible length
 		}
-		payload := data[off+4 : off+4+n]
-		crc := binary.LittleEndian.Uint32(data[off+4+n : off+8+n])
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload, err := wire.Unseal(c.Take(n+wire.SealLen), ErrBadJournal)
+		if err != nil {
 			break // torn mid-append, or bit rot: the tail ends here
 		}
-		e, perr := decodeJournalPayload(payload)
-		if perr != nil {
+		e, err := decodeJournalPayload(payload)
+		if err != nil {
 			break
 		}
 		entries = append(entries, e)
-		off += 8 + n
+		valid = c.Offset()
 	}
-	return entries, off, nil
+	return entries, valid, nil
 }
 
-// decodeJournalPayload parses one record body with the shared
-// bounds-checked cursor.
+// decodeJournalPayload parses one record body.
 func decodeJournalPayload(payload []byte) (journalEntry, error) {
-	c := &bcur{b: payload}
-	key := string(c.take(int(c.u16())))
-	n := int(c.u8())
-	if n > maxFamilies {
-		c.fail("%d families exceed limit", n)
-	}
-	var families []ml.Confusion
-	if c.err == nil && n > 0 {
-		families = make([]ml.Confusion, n)
-		for f := range families {
-			for r := 0; r < trace.NumApps; r++ {
-				for col := 0; col < trace.NumApps; col++ {
-					families[f][r][col] = int(c.varint())
-				}
-			}
-		}
-	}
-	if err := c.done(); err != nil {
+	c := wire.NewCursor(payload, ErrBadJournal)
+	key := string(c.Take(int(c.U16())))
+	families := readFamilies(c)
+	if err := c.Done(); err != nil {
 		return journalEntry{}, err
 	}
 	return journalEntry{key: key, families: families}, nil
@@ -224,20 +200,12 @@ func appendJournalRecord(buf []byte, key string, fams []ml.Confusion) ([]byte, e
 	payload := make([]byte, 0, len(key)+16*len(fams)+8)
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(key)))
 	payload = append(payload, key...)
-	payload = append(payload, byte(len(fams)))
-	for _, fam := range fams {
-		for r := range fam {
-			for col := range fam[r] {
-				payload = binary.AppendVarint(payload, int64(fam[r][col]))
-			}
-		}
-	}
+	payload = appendFamilies(payload, fams)
 	if len(payload) > maxJournalRecord {
 		return nil, fmt.Errorf("%w: %d-byte record exceeds limit", ErrBadJournal, len(payload))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), nil
+	return wire.Seal(append(buf, payload...), len(buf)), nil
 }
 
 // Lookup answers req from the journal when a completed record exists,

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -223,5 +225,37 @@ func TestJournalBadHeaderRefused(t *testing.T) {
 		if !errors.Is(err, ErrBadJournal) {
 			t.Errorf("%s: error %v, want ErrBadJournal", name, err)
 		}
+	}
+}
+
+// TestJournalGoldenBytes pins the TRGJ encoding byte for byte: a
+// journal file after fixed Record calls must hash to the value the
+// encoder produced before the codecs moved onto the shared wire kit.
+func TestJournalGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.journal")
+	j, err := OpenGridJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Record(journalReq(i), journalFams(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := experiments.TraceSetRef{Train: []string{digest64("0f"), ""}, Test: []string{digest64("e1")}}
+	captured := CellRequest{Cfg: experiments.Config{Seed: 77, W: time.Second}, Scheme: "OR+morph", App: trace.BitTorrent, Traces: &ref}
+	if err := j.Record(captured, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "d9920bb11dc21e2507010e5abdd4735425d1c3ae0363b7d9c1c2ec7a64336168"
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != want {
+		t.Errorf("TRGJ bytes changed: sha256 %s, want %s (%d bytes)", got, want, len(img))
 	}
 }

@@ -35,10 +35,11 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
-// Wire format (little-endian, mirroring internal/trace/codec): a
-// connection carries length-prefixed frames both ways:
+// Wire format (internal/wire conventions): a connection carries
+// length-prefixed frames both ways:
 //
 //	kind(u8) | length(u32) | payload(length bytes)
 //
@@ -191,15 +192,17 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, rejecting implausible lengths.
-func readFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame whose payload is at most limit bytes.
+// When want is nonzero, a frame of any other kind is refused before
+// its payload is read. A transport error on the header is returned as
+// the reader reported it; every other failure wraps ErrBadFrame.
+func readFrame(r io.Reader, limit uint32, want byte) (kind byte, payload []byte, err error) {
+	kind, n, err := wire.ReadFrameHeader(r, limit, ErrBadFrame)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: implausible %d-byte payload", ErrBadFrame, n)
+	if want != 0 && kind != want {
+		return 0, nil, fmt.Errorf("%w: frame kind %d, want %d", ErrBadFrame, kind, want)
 	}
 	// Grow with delivered bytes, not the declared length: a peer that
 	// claims a near-maxFrame payload and sends nothing must not buy a
@@ -208,7 +211,20 @@ func readFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	return hdr[0], buf.Bytes(), nil
+	return kind, buf.Bytes(), nil
+}
+
+// readOpeningFrame reads a connection's first frame, which must be of
+// kind want and at most maxHelloFrame bytes: nothing on the other end
+// has authenticated yet. A transport error stays wrapped (unlike the
+// format errors) so a worker can distinguish "the coordinator hung
+// up" from "the coordinator spoke garbage".
+func readOpeningFrame(r io.Reader, want byte) ([]byte, error) {
+	_, payload, err := readFrame(r, maxHelloFrame, want)
+	if err != nil && !errors.Is(err, ErrBadFrame) {
+		err = fmt.Errorf("%w: short opening frame header: %w", ErrBadFrame, err)
+	}
+	return payload, err
 }
 
 // writeJSONFrame marshals v into a frame of the given kind.
@@ -251,25 +267,7 @@ func EncodeChallenge(w io.Writer, nonce []byte) ([]byte, error) {
 // the payload before allocating — the peer has not authenticated
 // itself as a coordinator yet.
 func ReadChallenge(r io.Reader) ([]byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// The transport error stays wrapped (unlike the format errors
-		// below): a worker must distinguish "the coordinator hung up"
-		// from "the coordinator spoke garbage".
-		return nil, fmt.Errorf("%w: short challenge header: %w", ErrBadFrame, err)
-	}
-	if hdr[0] != kindChallenge {
-		return nil, fmt.Errorf("%w: first frame kind %d, want challenge", ErrBadFrame, hdr[0])
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	if n > maxHelloFrame {
-		return nil, fmt.Errorf("%w: %d-byte challenge refused", ErrBadFrame, n)
-	}
-	nonce := make([]byte, n)
-	if _, err := io.ReadFull(r, nonce); err != nil {
-		return nil, fmt.Errorf("%w: truncated challenge: %v", ErrBadFrame, err)
-	}
-	return nonce, nil
+	return readOpeningFrame(r, kindChallenge)
 }
 
 // Message is one decoded frame.
@@ -292,7 +290,7 @@ type Message struct {
 
 // ReadMessage decodes the next frame from r.
 func ReadMessage(r io.Reader) (Message, error) {
-	kind, payload, err := readFrame(r)
+	kind, payload, err := readFrame(r, maxFrame, 0)
 	if err != nil {
 		return Message{}, err
 	}
@@ -376,20 +374,9 @@ func EncodePong(w io.Writer) error {
 // pipelined frames — and rejects any kind but hello or any payload
 // over maxHelloFrame before allocating for it.
 func ReadHello(r io.Reader) (Hello, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Hello{}, fmt.Errorf("%w: short hello header: %v", ErrBadFrame, err)
-	}
-	if hdr[0] != kindHello {
-		return Hello{}, fmt.Errorf("%w: first frame kind %d, want hello", ErrBadFrame, hdr[0])
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	if n > maxHelloFrame {
-		return Hello{}, fmt.Errorf("%w: %d-byte hello refused", ErrBadFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Hello{}, fmt.Errorf("%w: truncated hello: %v", ErrBadFrame, err)
+	payload, err := readOpeningFrame(r, kindHello)
+	if err != nil {
+		return Hello{}, err
 	}
 	var h Hello
 	if err := json.Unmarshal(payload, &h); err != nil {

@@ -1,8 +1,7 @@
 package dist
 
-// Protocol v3 payload codec: batched binary cell dispatch in the
-// style of the trace codec — little-endian, versioned, every length
-// bounds-checked before it allocates. Framing one cell per frame
+// Protocol v3 payload codec: batched binary cell dispatch, following
+// the internal/wire conventions. Framing one cell per frame
 // leaves a fleet coordinator spending more time framing and
 // syscalling than scheduling, so v3 packs many cells into one
 // cell-batch frame (sized to the receiving worker's slots) and many
@@ -10,7 +9,7 @@ package dist
 // preloads flate-compressed. The outer kind|length framing is the one
 // protocol.go describes.
 //
-// Payload layouts (all little-endian):
+// Payload layouts:
 //
 //	cell-batch:   ver(u8)=1 | dim(u8)=NumApps | count(u16) | count × request
 //	request:      id(u64) | seed(u64) | train(i64) | test(i64) | w(i64)
@@ -26,9 +25,10 @@ package dist
 //
 // Digests travel as raw SHA-256 bytes (half the hex wire size); the
 // decoder re-hexes them in lowercase, and the encoder accepts only
-// that canonical form, so every accepted ref round-trips exactly. Confusion cells use zigzag varints — the matrices
-// are mostly near-zero counts, so a 7×7 matrix typically encodes in
-// ~60 bytes instead of 392.
+// that canonical form, so every accepted ref round-trips exactly.
+// Confusion cells are varints because the matrices are mostly
+// near-zero counts: a 7×7 matrix typically encodes in ~60 bytes
+// instead of 392.
 
 import (
 	"bytes"
@@ -44,6 +44,7 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
 const (
@@ -74,83 +75,6 @@ const (
 	maxTraceZBytes = 64 << 20
 )
 
-// bcur is a bounds-checked read cursor over one payload. Every read
-// validates the remaining length first and latches the first error, so
-// decode loops stay linear instead of nesting error checks.
-type bcur struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *bcur) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...)
-	}
-}
-
-func (c *bcur) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || len(c.b)-c.off < n {
-		c.fail("truncated payload at offset %d (want %d bytes, have %d)", c.off, n, len(c.b)-c.off)
-		return nil
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out
-}
-
-func (c *bcur) u8() byte {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *bcur) u16() uint16 {
-	b := c.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (c *bcur) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *bcur) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		c.fail("bad varint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-// done reports decode success and requires the payload be fully
-// consumed — trailing garbage means a framing bug or a tampered peer.
-func (c *bcur) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.b) {
-		return fmt.Errorf("%w: %d trailing bytes after payload", ErrBadFrame, len(c.b)-c.off)
-	}
-	return nil
-}
-
 // --- cell batches ------------------------------------------------------------
 
 func appendRefSlots(buf []byte, slots []string) ([]byte, error) {
@@ -175,19 +99,15 @@ func appendRefSlots(buf []byte, slots []string) ([]byte, error) {
 	return buf, nil
 }
 
-func (c *bcur) refSlots() []string {
-	n := int(c.u8())
-	if n > maxRefSlots {
-		c.fail("%d ref slots exceed limit", n)
-		return nil
-	}
-	if c.err != nil || n == 0 {
+func readRefSlots(c *wire.Cursor) []string {
+	n := c.Count(int(c.U8()), "ref slot", maxRefSlots, 1)
+	if n == 0 {
 		return nil
 	}
 	slots := make([]string, n)
 	for i := range slots {
-		if c.u8() == 1 {
-			if raw := c.take(digestRawLen); raw != nil {
+		if c.U8() == 1 {
+			if raw := c.Take(digestRawLen); raw != nil {
 				slots[i] = hex.EncodeToString(raw)
 			}
 		}
@@ -206,6 +126,9 @@ func appendCellRequest(buf []byte, req CellRequest) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Scheme)))
 	buf = append(buf, req.Scheme...)
+	if int(req.App) >= trace.NumApps {
+		return nil, fmt.Errorf("%w: application %d out of range [0, %d)", ErrBadFrame, req.App, trace.NumApps)
+	}
 	buf = append(buf, byte(req.App))
 	if req.Traces == nil {
 		return append(buf, 0), nil
@@ -218,22 +141,21 @@ func appendCellRequest(buf []byte, req CellRequest) ([]byte, error) {
 	return appendRefSlots(buf, req.Traces.Test)
 }
 
-func (c *bcur) cellRequest() CellRequest {
+func readCellRequest(c *wire.Cursor) CellRequest {
 	var req CellRequest
-	req.ID = c.u64()
-	req.Cfg.Seed = c.u64()
-	req.Cfg.TrainDuration = time.Duration(c.u64())
-	req.Cfg.TestDuration = time.Duration(c.u64())
-	req.Cfg.W = time.Duration(c.u64())
-	n := int(c.u16())
-	if n > maxSchemeName {
-		c.fail("%d-byte scheme name exceeds limit", n)
-		return req
+	req.ID = c.U64()
+	req.Cfg.Seed = c.U64()
+	req.Cfg.TrainDuration = time.Duration(c.U64())
+	req.Cfg.TestDuration = time.Duration(c.U64())
+	req.Cfg.W = time.Duration(c.U64())
+	req.Scheme = string(c.Take(c.Count(int(c.U16()), "scheme name byte", maxSchemeName, 1)))
+	// The app indexes the worker's per-application datasets, so an
+	// out-of-range byte must stop here rather than at evaluation.
+	if req.App = trace.App(c.U8()); int(req.App) >= trace.NumApps {
+		c.Fail("application %d out of range [0, %d)", req.App, trace.NumApps)
 	}
-	req.Scheme = string(c.take(n))
-	req.App = trace.App(c.u8())
-	if c.u8() == 1 {
-		ref := experiments.TraceSetRef{Train: c.refSlots(), Test: c.refSlots()}
+	if c.U8() == 1 {
+		ref := experiments.TraceSetRef{Train: readRefSlots(c), Test: readRefSlots(c)}
 		req.Traces = &ref
 	}
 	return req
@@ -257,35 +179,33 @@ func EncodeCellBatch(w io.Writer, reqs []CellRequest) error {
 	return writeFrame(w, kindCellBatch, buf)
 }
 
-// batchHeader validates the shared ver|dim|count prefix.
-func (c *bcur) batchHeader() int {
-	if v := c.u8(); c.err == nil && v != batchVersion {
-		c.fail("batch payload version %d, want %d", v, batchVersion)
+// readBatchHeader validates the shared ver|dim|count prefix and
+// returns the count, or 0 with an error latched.
+func readBatchHeader(c *wire.Cursor) int {
+	if v := c.U8(); c.Err() == nil && v != batchVersion {
+		c.Fail("batch payload version %d, want %d", v, batchVersion)
 	}
-	if d := c.u8(); c.err == nil && int(d) != trace.NumApps {
-		c.fail("confusion dimension %d, want %d", d, trace.NumApps)
+	if d := c.U8(); c.Err() == nil && int(d) != trace.NumApps {
+		c.Fail("confusion dimension %d, want %d", d, trace.NumApps)
 	}
-	n := int(c.u16())
-	if c.err == nil && (n == 0 || n > maxBatchCells) {
-		c.fail("batch of %d cells", n)
-	}
-	if c.err != nil {
-		return 0
+	n := c.Count(int(c.U16()), "batch cell", maxBatchCells, 1)
+	if c.Err() == nil && n == 0 {
+		c.Fail("empty batch")
 	}
 	return n
 }
 
 func decodeCellBatch(payload []byte) ([]CellRequest, error) {
-	c := &bcur{b: payload}
-	n := c.batchHeader()
-	if c.err != nil {
-		return nil, c.err
+	c := wire.NewCursor(payload, ErrBadFrame)
+	n := readBatchHeader(c)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	reqs := make([]CellRequest, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		reqs = append(reqs, c.cellRequest())
+	for i := 0; i < n && c.Err() == nil; i++ {
+		reqs = append(reqs, readCellRequest(c))
 	}
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return reqs, nil
@@ -308,38 +228,47 @@ func appendCellResult(buf []byte, res CellResult) ([]byte, error) {
 	if len(res.Families) > maxFamilies {
 		return nil, fmt.Errorf("%w: %d families exceed limit", ErrBadFrame, len(res.Families))
 	}
-	buf = append(buf, byte(len(res.Families)))
-	for _, fam := range res.Families {
+	return appendFamilies(buf, res.Families), nil
+}
+
+// appendFamilies encodes famCount(u8) | famCount × dim² varint cells,
+// the confusion layout results and journal records share. The caller
+// bounds len(fams) by maxFamilies.
+func appendFamilies(buf []byte, fams []ml.Confusion) []byte {
+	buf = append(buf, byte(len(fams)))
+	for _, fam := range fams {
 		for r := range fam {
 			for col := range fam[r] {
 				buf = binary.AppendVarint(buf, int64(fam[r][col]))
 			}
 		}
 	}
-	return buf, nil
+	return buf
 }
 
-func (c *bcur) cellResult() CellResult {
-	var res CellResult
-	res.ID = c.u64()
-	res.Err = string(c.take(int(c.u16())))
-	res.Cached = c.u8() == 1
-	n := int(c.u8())
-	if n > maxFamilies {
-		c.fail("%d families exceed limit", n)
-		return res
+// readFamilies decodes what appendFamilies wrote.
+func readFamilies(c *wire.Cursor) []ml.Confusion {
+	n := c.Count(int(c.U8()), "family", maxFamilies, trace.NumApps*trace.NumApps)
+	if n == 0 {
+		return nil
 	}
-	if c.err != nil || n == 0 {
-		return res
-	}
-	res.Families = make([]ml.Confusion, n)
-	for f := range res.Families {
+	fams := make([]ml.Confusion, n)
+	for f := range fams {
 		for r := 0; r < trace.NumApps; r++ {
 			for col := 0; col < trace.NumApps; col++ {
-				res.Families[f][r][col] = int(c.varint())
+				fams[f][r][col] = int(c.Varint())
 			}
 		}
 	}
+	return fams
+}
+
+func readCellResult(c *wire.Cursor) CellResult {
+	var res CellResult
+	res.ID = c.U64()
+	res.Err = string(c.Take(int(c.U16())))
+	res.Cached = c.U8() == 1
+	res.Families = readFamilies(c)
 	return res
 }
 
@@ -362,16 +291,16 @@ func EncodeResultBatch(w io.Writer, results []CellResult) error {
 }
 
 func decodeResultBatch(payload []byte) ([]CellResult, error) {
-	c := &bcur{b: payload}
-	n := c.batchHeader()
-	if c.err != nil {
-		return nil, c.err
+	c := wire.NewCursor(payload, ErrBadFrame)
+	n := readBatchHeader(c)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	results := make([]CellResult, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		results = append(results, c.cellResult())
+	for i := 0; i < n && c.Err() == nil; i++ {
+		results = append(results, readCellResult(c))
 	}
-	if err := c.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return results, nil

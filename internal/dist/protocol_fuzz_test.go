@@ -11,6 +11,7 @@ package dist
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -167,41 +168,91 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadHello hardens the unauthenticated half of the handshake:
-// whatever a stray sends as its first frame, ReadHello must return
-// promptly with a hello or an error — bounded allocation, no panic —
-// and never consume bytes past its own frame.
+// FuzzReadHello hardens both unauthenticated opening reads, run on
+// the same input: ReadHello (whatever a stray sends the coordinator
+// as its first frame) and ReadChallenge (whatever a peer posing as
+// the coordinator sends a worker before anything is authenticated).
+// Each must return promptly with its own frame kind or an error —
+// bounded allocation, no panic — and never consume bytes past its own
+// frame.
 func FuzzReadHello(f *testing.F) {
 	var good bytes.Buffer
 	if err := EncodeHello(&good, Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 2}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
+	var challenge bytes.Buffer
+	if _, err := EncodeChallenge(&challenge, []byte{1, 2, 3, 4}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(challenge.Bytes())
 	f.Add([]byte("GET / HTTP/1.1\r\n"))
 	f.Add([]byte{kindHello, 0xff, 0xff, 0xff, 0x3f})
-	f.Add([]byte{0x16, 0x03, 0x01, 0x02, 0x00}) // a TLS ClientHello record header
+	f.Add([]byte{kindChallenge, 0xff, 0xff, 0xff, 0x3f})
+	f.Add([]byte{kindChallenge, 0x01, 0x10, 0, 0})     // one byte over the opening-frame cap
+	f.Add([]byte{kindChallenge, 4, 0, 0, 0, '0', '0'}) // payload completed by the stream behind it
+	f.Add([]byte{0x16, 0x03, 0x01, 0x02, 0x00})        // a TLS ClientHello record header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		trailer := []byte{0xAB, 0xCD}
-		r := bytes.NewReader(append(append([]byte{}, data...), trailer...))
-		h, err := ReadHello(r)
+		in := append(append([]byte{}, data...), trailer...)
+		r := bytes.NewReader(in)
+		var h Hello
+		var err error
+		boundedAlloc(t, "ReadHello", func() { h, err = ReadHello(r) })
+		if err == nil {
+			// Accepted: the remaining stream must start exactly where
+			// the hello frame ended (ReadHello promises no readahead),
+			// so the encoded form must reproduce the consumed prefix.
+			var b bytes.Buffer
+			if err := EncodeHello(&b, h); err != nil {
+				t.Fatalf("re-encode of accepted hello failed: %v", err)
+			}
+			consumed := len(in) - r.Len()
+			if consumed > len(data) {
+				t.Fatalf("ReadHello read %d bytes past its input", consumed-len(data))
+			}
+			back, err := ReadHello(bytes.NewReader(data[:consumed]))
+			if err != nil || back != h {
+				t.Fatalf("hello round trip changed: %+v vs %+v (%v)", h, back, err)
+			}
+		}
+
+		r = bytes.NewReader(in)
+		var nonce []byte
+		boundedAlloc(t, "ReadChallenge", func() { nonce, err = ReadChallenge(r) })
 		if err != nil {
 			return
 		}
-		// Accepted: the remaining stream must start exactly where the
-		// hello frame ended (ReadHello promises no readahead), so the
-		// encoded form must reproduce the consumed prefix.
+		if in[0] != kindChallenge {
+			t.Fatalf("frame kind %d accepted as a challenge", in[0])
+		}
+		if len(nonce) > maxHelloFrame {
+			t.Fatalf("accepted a %d-byte challenge, cap %d", len(nonce), maxHelloFrame)
+		}
+		// Any bytes are a valid nonce, so the frame may end inside the
+		// trailer; what must hold is that exactly the frame's bytes were
+		// consumed, and that they re-encode from the nonce.
 		var b bytes.Buffer
-		if err := EncodeHello(&b, h); err != nil {
-			t.Fatalf("re-encode of accepted hello failed: %v", err)
+		if _, err := EncodeChallenge(&b, nonce); err != nil {
+			t.Fatalf("re-encode of accepted challenge failed: %v", err)
 		}
-		consumed := len(data) + len(trailer) - r.Len()
-		if consumed > len(data) {
-			t.Fatalf("ReadHello read %d bytes past its input", consumed-len(data))
-		}
-		back, err := ReadHello(bytes.NewReader(data[:consumed]))
-		if err != nil || back != h {
-			t.Fatalf("hello round trip changed: %+v vs %+v (%v)", h, back, err)
+		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(b.Bytes(), consumed) {
+			t.Fatalf("challenge round trip changed: %x vs consumed %x", b.Bytes(), consumed)
 		}
 	})
+}
+
+// boundedAlloc runs fn and fails the test if it allocated more than a
+// few opening-frame caps' worth of memory: a header's claimed length
+// alone must never buy an allocation.
+func boundedAlloc(t *testing.T, what string, fn func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*maxHelloFrame {
+		t.Fatalf("%s allocated %d bytes", what, grew)
+	}
 }

@@ -245,6 +245,17 @@ func TestChallengeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadChallengeKeepsTransportError: a coordinator that hangs up
+// before its challenge is a closed door, not garbage — the worker's
+// doorClosed check must still see the transport error under
+// ErrBadFrame.
+func TestReadChallengeKeepsTransportError(t *testing.T) {
+	_, err := ReadChallenge(bytes.NewReader(nil))
+	if !errors.Is(err, io.EOF) || !errors.Is(err, ErrBadFrame) || !doorClosed(err) {
+		t.Errorf("ReadChallenge on a closed stream: %v, want ErrBadFrame wrapping io.EOF", err)
+	}
+}
+
 // TestReadChallengeGuardsTheDoor mirrors the hello guard on the
 // worker side: the coordinator's first frame is the only thing an
 // unvalidated peer controls.

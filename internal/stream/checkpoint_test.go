@@ -2,12 +2,15 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"trafficreshape/internal/mac"
+	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
@@ -310,6 +313,42 @@ func TestShardIndexCollisionRouting(t *testing.T) {
 	for _, f := range rep.Flows {
 		if f.Packets != perFlow {
 			t.Errorf("flow %s has %d packets, want %d", f.MAC, f.Packets, perFlow)
+		}
+	}
+}
+
+// TestCheckpointGoldenBytes pins the TRCK encoding byte for byte: a
+// fixed integer-only ingest (no floating point, so the flow state is
+// the same on every platform) must checkpoint to the bytes the encoder
+// produced before the codecs moved onto the shared wire kit, at 1 and
+// 4 shards alike. RingCap 37 leaves some rings wrapped and some still
+// growing.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	rng := stats.NewRNG(5)
+	in := trace.New(0)
+	var tc time.Duration
+	for i := 0; i < 3000; i++ {
+		tc += time.Duration(rng.Intn(5000)) * time.Microsecond
+		in.Append(trace.Packet{
+			Time: tc,
+			Size: rng.IntRange(28, 1576),
+			Dir:  trace.Direction(rng.Intn(2)),
+			MAC:  flowMAC(rng.Intn(6)),
+			RSSI: -50,
+			Seq:  uint16(i),
+		})
+	}
+	const want = "b179b0a46fe08c795bfce057f21249c9d94e27d9de872a8d4e68ab30913fb062"
+	for _, shards := range []int{1, 4} {
+		e := New(Config{Seed: 9, Shards: shards, BatchSize: 32, RingCap: 37})
+		e.IngestTrace(in)
+		var ck bytes.Buffer
+		if err := e.Checkpoint(&ck); err != nil {
+			t.Fatalf("shards=%d checkpoint: %v", shards, err)
+		}
+		e.Drain()
+		if got := fmt.Sprintf("%x", sha256.Sum256(ck.Bytes())); got != want {
+			t.Errorf("shards=%d TRCK bytes changed: sha256 %s, want %s (%d bytes)", shards, got, want, ck.Len())
 		}
 	}
 }
